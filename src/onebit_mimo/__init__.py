@@ -6,15 +6,16 @@ Library layout:
   real embedding, vectorization, the shared frame-MSE objective
 - :mod:`onebit_mimo.constellations` - Gray-labeled constellation tables,
   modulation, minimum-distance detection
-- :mod:`onebit_mimo.linear` - ZF/MRT matrices and the linear-quantized
-  1-bit baseline
+- :mod:`onebit_mimo.linear` - ZF/MRT matrices, the 1-bit quantizer and the
+  linear-quantized baseline
 - :mod:`onebit_mimo.squid` - squared-infinity-norm convex relaxation solved
   by accelerated proximal gradient
 - :mod:`onebit_mimo.sdr` - semidefinite relaxation with a built-in ADMM
   solver and rank-one extraction
 - :mod:`onebit_mimo.gain_estimation` - genie / pilot / blind estimation of
-  the precoding factor at the UEs
-- :mod:`onebit_mimo.sim` - Monte-Carlo BER sweeps, exhaustive oracle, CSV
+  the precoding factor at all UEs at once
+- :mod:`onebit_mimo.sim` - the precoder registry, Monte-Carlo BER sweeps,
+  exhaustive oracle, CSV
 """
 
 from .constellations import (
@@ -25,20 +26,18 @@ from .constellations import (
     modulate,
 )
 from .gain_estimation import (
-    BetaEstimate,
+    FactorEstimate,
     blind_estimate,
     genie_estimate,
     pilot_mle,
 )
 from .linear import (
-    LinearPrecoderMatrix,
     linear_quantized_precode,
     mrt_matrix,
     one_bit_quantize,
     zf_matrix,
 )
 from .model import (
-    AuxiliaryFrame,
     ChannelMatrix,
     PrecodeResult,
     SymbolFrame,
@@ -69,6 +68,7 @@ from .sim import (
     BerRecord,
     ESTIMATOR_IDS,
     PRECODER_IDS,
+    PRECODERS,
     SweepConfig,
     TrialConfig,
     TrialResult,
@@ -82,7 +82,6 @@ from .squid import (
     SquidOptions,
     SquidResult,
     estimate_gradient_lipschitz,
-    linf_sq_objective,
     prox_sq_inf,
     squid_precode,
     squid_relax,

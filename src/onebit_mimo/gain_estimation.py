@@ -1,7 +1,8 @@
 """UE-side estimation of the precoding factor from received samples.
 
 Each UE rescales its received samples by an estimate of the common
-precoding factor before minimum-distance detection. Three methods:
+precoding factor before minimum-distance detection. Three methods, each run
+once over all U UEs:
 
 - genie: the exact factor, taken from the precoder output (reference curves)
 - pilot_mle: one pilot slot carrying sqrt(Es) at every UE; the estimate is
@@ -11,13 +12,14 @@ precoding factor before minimum-distance detection. Three methods:
   unknown in practice and defaults to 0
 
 The estimators are undefined for nonpositive real parts / denominators, so
-values are clamped (and the event flagged) to keep sweeps running.
+values are clamped (and counted) to keep sweeps running. An estimate that is
+still not finite and positive raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,53 +31,57 @@ EPS_BETA = 1e-9
 EPS_DENOM = 1e-12
 
 
-@dataclass(frozen=True)
-class BetaEstimate:
-    value: float
-    method: str  # "genie" | "pilot_mle" | "blind"
-    ue: int
-    clamped: bool = False
+class FactorEstimate(NamedTuple):
+    """Per-UE factor estimates and the number of UEs whose value was clamped."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError("estimate must be finite and positive")
+    betas: np.ndarray
+    clamped: int
 
 
-def pilot_mle(y_u1: complex, es: float = 1.0, ue: int = 0) -> BetaEstimate:
-    """Maximum-likelihood estimate from the single pilot observation.
+def _checked(betas: np.ndarray, clamped: np.ndarray) -> FactorEstimate:
+    if not np.all(np.isfinite(betas) & (betas > 0)):
+        raise ValueError("estimate must be finite and positive")
+    return FactorEstimate(betas, int(np.count_nonzero(clamped)))
 
-    beta_hat = Re{sqrt(Es) / y_u[1]}, clamped to [EPS_BETA, inf).
+
+def pilot_mle(y1, es: float = 1.0) -> FactorEstimate:
+    """Maximum-likelihood estimates from the pilot observations y_u[1].
+
+    beta_hat = Re{sqrt(Es) / y_u[1]}, clamped to [EPS_BETA, inf). ``y1``
+    holds one pilot sample per UE (a scalar is one UE).
     """
-    y_u1 = complex(y_u1)
-    if abs(y_u1) < 1e-12:
-        return BetaEstimate(value=EPS_BETA, method="pilot_mle", ue=ue, clamped=True)
-    raw = (math.sqrt(es) / y_u1).real
-    if raw < EPS_BETA:
-        return BetaEstimate(value=EPS_BETA, method="pilot_mle", ue=ue, clamped=True)
-    return BetaEstimate(value=raw, method="pilot_mle", ue=ue)
+    y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
+    a = math.sqrt(es)
+    re, im = y1.real, y1.imag
+    # Smith's division, as CPython divides a complex scalar, so the
+    # estimates match the scalar formula bit for bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real_major = np.abs(re) >= np.abs(im)
+        ratio = np.where(real_major, im / re, re / im)
+        raw = np.where(real_major, a / (re + im * ratio),
+                       a * ratio / (re * ratio + im))
+    clamped = (np.abs(y1) < 1e-12) | (raw < EPS_BETA)
+    return _checked(np.where(clamped, EPS_BETA, raw), clamped)
 
 
-def blind_estimate(y_u: np.ndarray, es: float, noise_var: float,
-                   err_energy: float = 0.0, ue: int = 0) -> BetaEstimate:
-    """Blind estimate from the sample variance of the received slots.
+def blind_estimate(y, es: float, noise_var: float,
+                   err_energy: float = 0.0) -> FactorEstimate:
+    """Blind estimates from the sample variance of each UE's received slots.
 
     beta_hat = sqrt(Es / (mean_k |y_u[k]|^2 - E0 - N0)) with the denominator
-    clamped to EPS_DENOM; all slots carry payload. ``noise_var`` and
-    ``err_energy`` are the values the UE assumes, not generated quantities,
-    so zero is allowed for both.
+    clamped to EPS_DENOM; all slots carry payload. ``y`` is U x K (a 1-D
+    array is one UE). ``noise_var`` and ``err_energy`` are the values the UE
+    assumes, not generated quantities, so zero is allowed for both.
     """
-    y_u = np.asarray(y_u, dtype=complex).ravel()
-    if y_u.size < 1:
+    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    if y.shape[1] < 1:
         raise ValueError("need at least one received sample")
-    denom = float(np.mean(np.abs(y_u) ** 2)) - err_energy - noise_var
-    if denom < EPS_DENOM:
-        return BetaEstimate(value=math.sqrt(es / EPS_DENOM), method="blind",
-                            ue=ue, clamped=True)
-    return BetaEstimate(value=math.sqrt(es / denom), method="blind", ue=ue)
+    denom = np.mean(np.abs(y) ** 2, axis=1) - err_energy - noise_var
+    clamped = denom < EPS_DENOM
+    return _checked(np.sqrt(es / np.where(clamped, EPS_DENOM, denom)), clamped)
 
 
-def genie_estimate(result: PrecodeResult, ue: int = 0) -> BetaEstimate:
-    """Exact factor granted by a genie; used for reference curves."""
-    if result.beta < EPS_BETA:
-        return BetaEstimate(value=EPS_BETA, method="genie", ue=ue, clamped=True)
-    return BetaEstimate(value=result.beta, method="genie", ue=ue)
+def genie_estimate(result: PrecodeResult, num_ues: int) -> FactorEstimate:
+    """Exact factor granted by a genie to all ``num_ues`` UEs."""
+    clamped = np.full(num_ues, result.beta < EPS_BETA)
+    return _checked(np.full(num_ues, max(result.beta, EPS_BETA)), clamped)

@@ -13,31 +13,22 @@ is applied before quantization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PrecodeResult, SystemConfig, _as_array, optimal_beta_for
+from .model import PrecodeResult, SystemConfig, optimal_beta_for
 
 
-@dataclass(frozen=True)
-class LinearPrecoderMatrix:
-    p: np.ndarray  # complex, B x U
-    kind: str      # "ZF" or "MRT"
-
-
-def zf_matrix(h) -> LinearPrecoderMatrix:
-    """Zero-forcing precoder P = H^H (H H^H)^-1; raises if H is singular."""
-    h = np.asarray(_as_array(h, "h"), dtype=complex)
+def zf_matrix(h) -> np.ndarray:
+    """Zero-forcing precoder P = H^H (H H^H)^-1 (B x U); raises if H is singular."""
+    h = np.asarray(h, dtype=complex)
     gram = h @ h.conj().T
-    p = np.linalg.solve(gram, h).conj().T  # H^H G^-1 with G Hermitian
-    return LinearPrecoderMatrix(p=p, kind="ZF")
+    return np.linalg.solve(gram, h).conj().T  # H^H G^-1 with G Hermitian
 
 
-def mrt_matrix(h) -> LinearPrecoderMatrix:
-    """Maximum ratio transmission precoder P = H^H."""
-    h = np.asarray(_as_array(h, "h"), dtype=complex)
-    return LinearPrecoderMatrix(p=h.conj().T, kind="MRT")
+def mrt_matrix(h) -> np.ndarray:
+    """Maximum ratio transmission precoder P = H^H (B x U)."""
+    return np.asarray(h, dtype=complex).conj().T
 
 
 def _sgn(a: np.ndarray) -> np.ndarray:
@@ -64,31 +55,16 @@ def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
     quantized frame, which makes this baseline comparable to the nonlinear
     precoders under the common objective.
     """
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
     kind = kind.lower()
     if kind == "zf":
-        pm = zf_matrix(h)
+        p = zf_matrix(h)
     elif kind == "mrt":
-        pm = mrt_matrix(h)
+        p = mrt_matrix(h)
     else:
         raise ValueError(f"unknown linear precoder kind {kind!r}")
-    x = one_bit_quantize(pm.p @ s, cfg.transmit_power)
+    x = one_bit_quantize(p @ s, cfg.transmit_power)
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     return PrecodeResult(x=x, beta=beta)
 
-
-def unquantized_zf_baseline(s: np.ndarray, h, cfg: SystemConfig):
-    """Infinite-resolution ZF reference (internal debug baseline only).
-
-    Returns (x, beta) with x = c * P s scaled so the whole frame meets the
-    average power constraint; x is not 1-bit feasible.
-    """
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    z = zf_matrix(h).p @ s
-    k = s.shape[1]
-    energy = float(np.sum(np.abs(z) ** 2))
-    if energy == 0:
-        raise ValueError("zero-energy precoder output")
-    x = z * math.sqrt(k * cfg.transmit_power / energy)
-    beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    return x, beta

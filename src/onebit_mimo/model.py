@@ -1,9 +1,12 @@
 """System model for the 1-bit quantized massive MU-MIMO downlink.
 
-Holds the domain types (system configuration, channel, symbol frame,
-precoder output), channel/noise generation, the real-valued embedding of
-complex matrices, Kronecker vectorization, and the shared mean-square-error
+Holds the domain types (system configuration, the drawn channel, symbol
+frame, precoder output), channel/noise generation, the real-valued embedding
+of complex matrices, Kronecker vectorization, and the shared mean-square-error
 objective that every precoder (and the exhaustive oracle) minimizes.
+
+Every function that takes a channel accepts anything ``np.asarray`` turns
+into the complex U x B matrix, a :class:`ChannelMatrix` included.
 
 Conventions
 -----------
@@ -24,7 +27,8 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,14 +157,21 @@ def vectorize_system(h_r: np.ndarray, s_r: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class ChannelMatrix:
-    """Complex downlink channel H (U x B) with its cached real embedding."""
+    """Complex downlink channel H (U x B); ``np.asarray`` unwraps it to H."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2:
             raise ValueError("channel must be a 2-D matrix")
         self.h = h
-        self.h_real = real_embed(h)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.h, dtype=dtype, copy=copy)
+
+    @cached_property
+    def h_real(self) -> np.ndarray:
+        """Real embedding of H, computed on first use."""
+        return real_embed(self.h)
 
     @property
     def num_ues(self) -> int:
@@ -193,8 +204,7 @@ class SymbolFrame:
         rng = np.random.default_rng(seed)
         m = constellation.bits_per_symbol
         bits = rng.integers(0, 2, size=(num_ues, num_slots * m)).astype(np.uint8)
-        s = np.stack([modulate(bits[u], constellation) for u in range(num_ues)])
-        return cls(s=s, bits=bits)
+        return cls(s=modulate(bits, constellation).reshape(num_ues, -1), bits=bits)
 
 
 @dataclass(frozen=True)
@@ -209,30 +219,6 @@ class PrecodeResult:
     x: np.ndarray
     beta: float
     flags: tuple = ()
-
-
-@dataclass(frozen=True)
-class AuxiliaryFrame:
-    """Auxiliary variable of the relaxations: the scaled frame B = beta * X."""
-
-    b: np.ndarray
-
-    @property
-    def real_vec(self) -> np.ndarray:
-        """Column-major vec of the stacked real embedding, length 2BK."""
-        return vec(stack_real(self.b))
-
-    @classmethod
-    def from_real_vec(cls, v: np.ndarray, num_antennas: int, num_slots: int) -> "AuxiliaryFrame":
-        b_r = unvec(v, 2 * num_antennas, num_slots)
-        return cls(b=unstack_real(b_r))
-
-    def implied_beta(self, transmit_power: float) -> float:
-        """beta = sqrt(||B||_F^2 / (K P)); exact when B = beta*X is feasible."""
-        k = self.b.shape[1]
-        return math.sqrt(
-            float(np.sum(np.abs(self.b) ** 2)) / (k * transmit_power)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +253,10 @@ def gen_awgn(num_ues: int, num_slots: int, noise_var: float, seed) -> np.ndarray
 # Channel application and the shared MSE objective
 # ---------------------------------------------------------------------------
 
-def _as_array(obj, attr: str) -> np.ndarray:
-    return getattr(obj, attr) if hasattr(obj, attr) else np.asarray(obj)
-
-
 def apply_channel(h, x, n: np.ndarray) -> np.ndarray:
     """Noisy downlink observation Y = H X + N."""
-    h = np.asarray(_as_array(h, "h"), dtype=complex)
-    x = np.asarray(_as_array(x, "x"), dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     n = np.asarray(n, dtype=complex)
     if h.shape[1] != x.shape[0] or n.shape != (h.shape[0], x.shape[1]):
         raise ValueError(
@@ -285,9 +267,9 @@ def apply_channel(h, x, n: np.ndarray) -> np.ndarray:
 
 def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float) -> float:
     """Total MSE of the frame: ||S - beta H X||_F^2 + beta^2 U K N0."""
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    h = np.asarray(_as_array(h, "h"), dtype=complex)
-    x = np.asarray(_as_array(x, "x"), dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     residual = s - beta * (h @ x)
     u, k = s.shape
     return float(np.sum(np.abs(residual) ** 2) + beta ** 2 * u * k * noise_var)
@@ -298,9 +280,9 @@ def optimal_beta_for(x: np.ndarray, s: np.ndarray, h, noise_var: float) -> float
 
     beta* = max(0, Re tr((HX)^H S) / (||HX||_F^2 + U K N0)).
     """
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    h = np.asarray(_as_array(h, "h"), dtype=complex)
-    x = np.asarray(_as_array(x, "x"), dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     hx = h @ x
     u, k = s.shape
     num = float(np.vdot(hx, s).real)

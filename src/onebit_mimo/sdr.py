@@ -22,14 +22,13 @@ import numpy as np
 
 from .linear import _sgn
 from .model import (
-    AuxiliaryFrame,
-    ChannelMatrix,
     PrecodeResult,
     SystemConfig,
-    _as_array,
     optimal_beta_for,
     real_embed,
     stack_real,
+    unstack_real,
+    unvec,
     vec,
     vectorize_system,
 )
@@ -40,15 +39,12 @@ class SdrOptions:
     tol: float = 1e-6
     max_iters: int = 5000
     block_mode: bool = False
-    rho: float = 1.0
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.rho > 0):
-            raise ValueError("rho must be > 0")
 
 
 @dataclass(frozen=True)
@@ -133,15 +129,16 @@ RHO_ADAPT_BURN_IN = 1000
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
-              rho: float = 1.0, record_history: bool = False) -> SdpSolution:
+              record_history: bool = False) -> SdpSolution:
     """ADMM over the affine constraint set and the PSD cone.
 
     x-update: project (z - u - T/rho) onto the affine set (closed form:
     average the tied diagonal, pin the corner); z-update: PSD projection of
     (x + u); scaled dual update. Stops when max(primal, dual) residual and
-    the constraint violation of z drop below ``tol``. The penalty is adapted
-    by residual balancing (factor 2 when the residual ratio exceeds 10)
-    during the first ``RHO_ADAPT_BURN_IN`` iterations and then frozen.
+    the constraint violation of z drop below ``tol``. The penalty starts at
+    1 and is adapted by residual balancing (factor 2 when the residual
+    ratio exceeds 10) during the first ``RHO_ADAPT_BURN_IN`` iterations and
+    then frozen.
     Returns the best-effort iterate with ``converged=False`` if the budget
     runs out; z is PSD by construction either way.
     """
@@ -152,6 +149,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
     z[n_vec, n_vec] = 1.0
     dual = np.zeros((n, n))
     history = [] if record_history else None
+    rho = 1.0
     primal = dual_res = np.inf
     converged = False
     iterations = 0
@@ -200,7 +198,7 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
     eigenvalue is resolved deterministically by the eigensolver's ordering
     and flagged.
     """
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
+    s = np.asarray(s, dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(sol.x)
     leading = eigvecs[:, -1]
     flags = []
@@ -218,8 +216,8 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
         raise ValueError("solution dimension does not match the antenna count")
     level = cfg.quant_level
     xbar_r = level * _sgn(leading[:n_vec])
-    aux = AuxiliaryFrame.from_real_vec(xbar_r, num_antennas, num_slots)
-    x = aux.b  # entries already in {+-l +-jl}
+    # entries already in {+-l +-jl}
+    x = unstack_real(unvec(xbar_r, 2 * num_antennas, num_slots))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     if not sol.converged:
         flags.append("sdr_nonconverged")
@@ -236,9 +234,9 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
     the full rounded frame.
     """
     opts = opts or SdrOptions()
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    h_arr = np.asarray(_as_array(h, "h"), dtype=complex)
-    h_r = h.h_real if isinstance(h, ChannelMatrix) else real_embed(h_arr)
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    h_r = real_embed(h)
     num_slots = s.shape[1]
     flags: list[str] = []
 
@@ -246,7 +244,7 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
         hbar_r, sbar_r = vectorize_system(h_r, stack_real(s))
         sol = solve_sdp(assemble_T(hbar_r, sbar_r, cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power),
-                        tol=opts.tol, max_iters=opts.max_iters, rho=opts.rho)
+                        tol=opts.tol, max_iters=opts.max_iters)
         return extract_rank_one(sol, s, h, cfg)
 
     columns = []
@@ -255,7 +253,7 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
         sbar_r = vec(stack_real(s_slot))
         sol = solve_sdp(assemble_T(h_r, sbar_r, cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power),
-                        tol=opts.tol, max_iters=opts.max_iters, rho=opts.rho)
+                        tol=opts.tol, max_iters=opts.max_iters)
         slot_result = extract_rank_one(sol, s_slot, h, cfg)
         columns.append(slot_result.x)
         flags.extend(f for f in slot_result.flags if f not in flags)

@@ -31,11 +31,9 @@ from .constellations import detect, get_constellation
 from .gain_estimation import blind_estimate, genie_estimate, pilot_mle
 from .linear import linear_quantized_precode
 from .model import (
-    ChannelMatrix,
     PrecodeResult,
     SymbolFrame,
     SystemConfig,
-    _as_array,
     apply_channel,
     gen_awgn,
     gen_rayleigh_channel,
@@ -47,7 +45,17 @@ from .model import (
 from .sdr import SdrOptions, sdr_precode
 from .squid import SquidOptions, squid_precode
 
-PRECODER_IDS = ("zfq", "mrtq", "squid", "sdr", "bruteforce")
+#: precoder id -> (frame, channel, trial config) -> PrecodeResult; each entry
+#: looks its precoder up by name when called, so rebinding the module
+#: attribute (as a tracer does) takes effect
+PRECODERS = {
+    "zfq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, kind="zf"),
+    "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, kind="mrt"),
+    "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system, cfg.squid),
+    "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system, cfg.sdr),
+    "bruteforce": lambda s, h, cfg: PrecodeResult(*brute_force_qp(s, h, cfg.system)[:2]),
+}
+PRECODER_IDS = tuple(PRECODERS)
 ESTIMATOR_IDS = ("genie", "pilot", "blind")
 
 CSV_HEADER = ("snr_db,precoder,constellation,estimator,trials,"
@@ -148,7 +156,8 @@ class BerRecord:
 
     @property
     def ber(self) -> float:
-        return self.bit_errors / self.bits_total if self.bits_total else 0.0
+        """Bit error rate; NaN when no trial finished (every trial failed)."""
+        return self.bit_errors / self.bits_total if self.bits_total else math.nan
 
     def csv_row(self) -> str:
         return (f"{self.snr_db:g},{self.precoder},{self.constellation},"
@@ -194,19 +203,6 @@ def draw_trial_data(system: SystemConfig, constellation: str,
     return h, frame, noise
 
 
-def _precode(cfg: TrialConfig, s_tx: np.ndarray, h: ChannelMatrix) -> PrecodeResult:
-    if cfg.precoder == "zfq":
-        return linear_quantized_precode(s_tx, h, cfg.system, kind="zf")
-    if cfg.precoder == "mrtq":
-        return linear_quantized_precode(s_tx, h, cfg.system, kind="mrt")
-    if cfg.precoder == "squid":
-        return squid_precode(s_tx, h, cfg.system, cfg.squid)
-    if cfg.precoder == "sdr":
-        return sdr_precode(s_tx, h, cfg.system, cfg.sdr)
-    x, beta, _ = brute_force_qp(s_tx, h, cfg.system)
-    return PrecodeResult(x=x, beta=beta)
-
-
 def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     """Run one end-to-end trial; fully determined by ``trial_seed``."""
     system = cfg.system
@@ -223,23 +219,18 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     else:
         s_tx = frame.s
 
-    pre = _precode(cfg, s_tx, h)
+    pre = PRECODERS[cfg.precoder](s_tx, h, cfg)
     y = apply_channel(h, pre.x, noise)
 
-    estimates = []
-    for u in range(system.num_ues):
-        if cfg.estimator == "genie":
-            estimates.append(genie_estimate(pre, ue=u))
-        elif cfg.estimator == "pilot":
-            estimates.append(pilot_mle(y[u, 0], es=1.0, ue=u))
-        else:
-            estimates.append(blind_estimate(y[u], es=1.0,
-                                            noise_var=system.noise_var, ue=u))
-    betas = np.array([e.value for e in estimates])
-    clamp_flags = sum(e.clamped for e in estimates)
+    if cfg.estimator == "genie":
+        est = genie_estimate(pre, system.num_ues)
+    elif pilot_mode:
+        est = pilot_mle(y[:, 0], es=1.0)
+    else:
+        est = blind_estimate(y, es=1.0, noise_var=system.noise_var)
 
     payload_y = y[:, 1:] if pilot_mode else y
-    s_hat = betas[:, None] * payload_y
+    s_hat = est.betas[:, None] * payload_y
     _, bits_hat = detect(s_hat, const)
     bits_hat = bits_hat.reshape(system.num_ues, -1)
     bit_errors = np.sum(bits_hat != frame.bits, axis=1)
@@ -247,7 +238,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     return TrialResult(
         bit_errors=bit_errors,
         bits_total=int(frame.bits.size),
-        clamp_flags=int(clamp_flags),
+        clamp_flags=est.clamped,
         precoder_flags=len(pre.flags),
         objective=qp_objective(s_tx, h, pre.x, pre.beta, system.noise_var),
         beta=pre.beta,
@@ -269,9 +260,9 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
 
     Returns (x, beta, objective).
     """
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    h_arr = np.asarray(_as_array(h, "h"), dtype=complex)
-    num_antennas = h_arr.shape[1]
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    num_antennas = h.shape[1]
     num_ues, num_slots = s.shape
     n_bits = 2 * num_antennas * num_slots
     if n_bits > BRUTE_FORCE_GUARD_BITS:
@@ -279,7 +270,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
             f"search space 4^(B*K) = 2^{n_bits} exceeds the 2^"
             f"{BRUTE_FORCE_GUARD_BITS} guard"
         )
-    h_r = h.h_real if isinstance(h, ChannelMatrix) else real_embed(h_arr)
+    h_r = real_embed(h)
     s_r = stack_real(s)
     level = math.sqrt(cfg.transmit_power / (2.0 * num_antennas))
     s_energy = float(np.sum(s_r * s_r))
@@ -313,8 +304,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
     x = xr[:num_antennas] + 1j * xr[num_antennas:]
     # recompute through the shared routines so comparisons with heuristic
     # precoders follow identical floating-point paths
-    beta_star = optimal_beta_for(x, s, h_arr, cfg.noise_var)
-    return x, beta_star, qp_objective(s, h_arr, x, beta_star, cfg.noise_var)
+    beta_star = optimal_beta_for(x, s, h, cfg.noise_var)
+    return x, beta_star, qp_objective(s, h, x, beta_star, cfg.noise_var)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ gradient steps on the least-squares term, exact proximal steps on the
 squared-infinity-norm penalty, step size 1/L with L = 2 lambda_max(Hbar^T
 Hbar) estimated by power iteration. Only matrix-vector products with the
 per-slot embedded channel are needed; the block matrix I_K kron H_R is never
-formed. The rounded 1-bit frame and its conditionally optimal precoding
-factor come out of :func:`squid_precode`.
+formed. :func:`squid_precode` rounds the relaxed solution to the 1-bit set,
+refines the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and
+returns the frame with its conditionally optimal precoding factor.
 """
 
 from __future__ import annotations
@@ -23,33 +24,31 @@ import numpy as np
 
 from .linear import one_bit_quantize
 from .model import (
-    AuxiliaryFrame,
-    ChannelMatrix,
     PrecodeResult,
     SystemConfig,
-    _as_array,
     optimal_beta_for,
     real_embed,
     stack_real,
+    unstack_real,
+    unvec,
     vec,
 )
+
+#: greedy sign-refinement rounds after rounding the relaxed solution
+REFINEMENT_ROUNDS = 10
 
 
 @dataclass(frozen=True)
 class SquidOptions:
     max_iters: int = 2000
-    step_size: float | str = "auto"
     rel_tol: float = 1e-6
     momentum: bool = True
-    refine_rounds: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be > 0")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,17 +60,6 @@ class SquidResult:
     objective_history: np.ndarray
     converged: bool
     iterations: int
-
-
-def linf_sq_objective(bbar_r: np.ndarray, hbar_r: np.ndarray, sbar_r: np.ndarray,
-                      num_ues: int, num_antennas: int, num_slots: int,
-                      noise_var: float, transmit_power: float) -> float:
-    """Relaxed objective ||sbar - Hbar b||^2 + (2UBK N0/P) ||b||_inf^2."""
-    bbar_r = np.asarray(bbar_r, dtype=float)
-    residual = sbar_r - hbar_r @ bbar_r
-    penalty = 2.0 * num_ues * num_antennas * num_slots * noise_var / transmit_power
-    binf = float(np.max(np.abs(bbar_r))) if bbar_r.size else 0.0
-    return float(residual @ residual + penalty * binf ** 2)
 
 
 def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
@@ -127,35 +115,31 @@ def estimate_gradient_lipschitz(h_r: np.ndarray, iters: int = 50,
     return 2.0 * lam * 1.01
 
 
-def squid_relax(h, s: np.ndarray, cfg: SystemConfig,
+def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
                 opts: SquidOptions | None = None) -> SquidResult:
     """Solve the relaxed problem; returns the best iterate found.
 
-    Iterates b <- prox(b - gamma * 2 Hbar^T (Hbar b - sbar), gamma * penalty)
-    with optional Nesterov momentum, stopping when the relative objective
-    change drops below ``rel_tol`` or ``max_iters`` is reached. The returned
-    objective never exceeds the objective at b = 0 (the starting point).
+    Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
+    and ``s_r`` the (2U x K) stacked frame (:func:`real_embed`,
+    :func:`stack_real`). Iterates b <- prox(b - gamma * 2 Hbar^T (Hbar b -
+    sbar), gamma * penalty) with step gamma = 1/L and optional Nesterov
+    momentum, stopping when the relative objective change drops below
+    ``rel_tol`` or ``max_iters`` is reached. The returned objective never
+    exceeds the objective at b = 0 (the starting point).
     """
     opts = opts or SquidOptions()
-    h_arr = np.asarray(_as_array(h, "h"), dtype=complex)
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    num_ues, num_antennas = h_arr.shape
-    num_slots = s.shape[1]
-    if s.shape[0] != num_ues:
+    if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
+        raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
+    h_r = np.asarray(h_r, dtype=float)
+    s_r = np.asarray(s_r, dtype=float)
+    num_ues, num_antennas = h_r.shape[0] // 2, h_r.shape[1] // 2
+    num_slots = s_r.shape[1]
+    if s_r.shape[0] != h_r.shape[0]:
         raise ValueError("symbol frame and channel dimensions disagree")
 
-    h_r = h.h_real if isinstance(h, ChannelMatrix) else real_embed(h_arr)
-    s_r = stack_real(s)
     penalty = (2.0 * num_ues * num_antennas * num_slots
                * cfg.noise_var / cfg.transmit_power)
-
-    if opts.step_size == "auto":
-        lipschitz = estimate_gradient_lipschitz(h_r)
-        gamma = 1.0 / max(lipschitz, 1e-12)
-    else:
-        gamma = float(opts.step_size)
-        if not (gamma > 0):
-            raise ValueError("step_size must be positive")
+    gamma = 1.0 / max(estimate_gradient_lipschitz(h_r), 1e-12)
     tau = gamma * penalty
 
     def objective(b_mat, residual):
@@ -207,7 +191,7 @@ def squid_relax(h, s: np.ndarray, cfg: SystemConfig,
 
 
 def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
-                        noise_var: float, level: float, rounds: int) -> np.ndarray:
+                        noise_var: float, level: float) -> np.ndarray:
     """Coordinate descent on the exact frame MSE over the sign pattern.
 
     The least-squares minimizer of the relaxation is far from unique (the
@@ -231,7 +215,7 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
         den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
         return max(0.0, float(np.sum(fitted * s_r)) / den)
 
-    for _ in range(rounds):
+    for _ in range(REFINEMENT_ROUNDS):
         beta = beta_for(x_r)
         if beta == 0.0:
             break
@@ -258,25 +242,19 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
 
     Rounding quantizes the de-vectorized, de-embedded relaxed solution
     entrywise (sign rule, sign(0) = +1) and then runs a deterministic
-    greedy sign-flip refinement of the frame MSE (``refine_rounds = 0``
-    turns the refinement off). The factor is recomputed as the conditional
-    optimum for the final frame rather than read off the relaxed iterate,
-    which is never worse under the frame MSE.
+    greedy sign-flip refinement of the frame MSE. The factor is recomputed
+    as the conditional optimum for the final frame rather than read off the
+    relaxed iterate, which is never worse under the frame MSE.
     """
-    opts = opts or SquidOptions()
-    s = np.asarray(_as_array(s, "s"), dtype=complex)
-    h_arr = np.asarray(_as_array(h, "h"), dtype=complex)
-    relaxed = squid_relax(h, s, cfg, opts)
-    aux = AuxiliaryFrame.from_real_vec(
-        relaxed.b_real_vec, h_arr.shape[1], s.shape[1]
-    )
-    x = one_bit_quantize(aux.b, cfg.transmit_power)
-    if opts.refine_rounds > 0:
-        h_r = h.h_real if isinstance(h, ChannelMatrix) else real_embed(h_arr)
-        x_r = _greedy_sign_refine(stack_real(x), h_r, stack_real(s),
-                                  cfg.noise_var, cfg.quant_level,
-                                  opts.refine_rounds)
-        x = x_r[: h_arr.shape[1]] + 1j * x_r[h_arr.shape[1]:]
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    h_r, s_r = real_embed(h), stack_real(s)
+    num_antennas, num_slots = h.shape[1], s.shape[1]
+    relaxed = squid_relax(h_r, s_r, cfg, opts)
+    b = unstack_real(unvec(relaxed.b_real_vec, 2 * num_antennas, num_slots))
+    x_r = _greedy_sign_refine(stack_real(one_bit_quantize(b, cfg.transmit_power)),
+                              h_r, s_r, cfg.noise_var, cfg.quant_level)
+    x = x_r[:num_antennas] + 1j * x_r[num_antennas:]
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     flags = () if relaxed.converged else ("squid_nonconverged",)
     return PrecodeResult(x=x, beta=beta, flags=flags)

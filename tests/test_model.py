@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from onebit_mimo import (
-    AuxiliaryFrame,
     ChannelMatrix,
+    SymbolFrame,
     SystemConfig,
     apply_channel,
     gen_awgn,
     gen_rayleigh_channel,
+    get_constellation,
+    modulate,
     one_bit_quantize,
     optimal_beta_for,
     qp_objective,
@@ -66,6 +68,22 @@ class TestRayleighChannel:
         assert h.h.shape == (2, 4)
         assert h.h_real.shape == (4, 8)
         assert h.num_ues == 2 and h.num_bs_antennas == 4
+
+    def test_asarray_unwraps_the_matrix(self):
+        h = gen_rayleigh_channel(3, 5, seed=4)
+        assert np.asarray(h, dtype=complex) is h.h
+        assert np.array_equal(np.asarray(h), h.h)
+        assert np.array_equal(h.h_real, real_embed(h.h))
+
+
+class TestSymbolFrame:
+    def test_rows_are_per_ue_modulations(self):
+        const = get_constellation("64qam")
+        frame = SymbolFrame.random(const, 3, 4, seed=5)
+        assert frame.s.shape == (3, 4)
+        assert frame.bits.shape == (3, 4 * const.bits_per_symbol)
+        for u in range(3):
+            assert np.array_equal(frame.s[u], modulate(frame.bits[u], const))
 
 
 class TestAwgn:
@@ -262,18 +280,9 @@ class TestFrameInvariants:
                + penalty * np.linalg.norm(bbar) ** 2)
         assert abs(eq5 - eq8) < 1e-10
 
-    def test_auxiliary_frame_implied_beta(self):
-        cfg = SystemConfig(4, 2, 3, noise_var=0.2)
-        rng = np.random.default_rng(13)
-        z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        x = one_bit_quantize(z, cfg.transmit_power)
-        beta = 1.7
-        aux = AuxiliaryFrame(b=beta * x)
-        assert aux.implied_beta(cfg.transmit_power) == pytest.approx(beta, rel=1e-10)
-
-    def test_auxiliary_frame_vec_roundtrip(self):
+    def test_real_vec_roundtrip(self):
+        # the relaxations' real vectors map back to frames this way
         rng = np.random.default_rng(14)
         b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        aux = AuxiliaryFrame(b=b)
-        back = AuxiliaryFrame.from_real_vec(aux.real_vec, 3, 2)
-        assert np.allclose(back.b, b, atol=1e-15)
+        back = unstack_real(unvec(vec(stack_real(b)), 6, 2))
+        assert np.array_equal(back, b)

@@ -1,14 +1,19 @@
 """Tests for the Monte-Carlo harness: trials, exhaustive oracle, sweeps, CSV."""
 
+import math
+
 import numpy as np
 import pytest
 
 from onebit_mimo import (
+    PRECODER_IDS,
+    PRECODERS,
     ChannelMatrix,
     SweepConfig,
     SystemConfig,
     TrialConfig,
     brute_force_qp,
+    gen_rayleigh_channel,
     records_to_csv,
     run_trial,
     sweep,
@@ -92,6 +97,15 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             TrialConfig(system=SystemConfig(2, 1, 1, noise_var=0.1),
                         estimator="pilot")
+
+    def test_registry_names_every_precoder(self):
+        system = _tiny_system(num_bs_antennas=2, num_slots=1)
+        for precoder in PRECODER_IDS:
+            res = PRECODERS[precoder](np.ones((2, 1), dtype=complex),
+                                      gen_rayleigh_channel(2, 2, seed=1),
+                                      TrialConfig(system=system, precoder=precoder))
+            assert res.x.shape == (2, 1)
+        assert PRECODER_IDS == tuple(PRECODERS)
 
     def test_unknown_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +227,9 @@ class TestSweep:
         assert records[0].failures == 2
         assert records[0].trials == 2
         assert records[0].bits_total == 0
+        # no finished trial, no BER: NaN rather than a perfect 0
+        assert math.isnan(records[0].ber)
+        assert records_to_csv(records).split("\n")[1].split(",")[7] == "nan"
 
     def test_golden_regression(self):
         # frozen counts pin the RNG contract end to end

@@ -12,14 +12,13 @@ from onebit_mimo import (
     gen_rayleigh_channel,
     get_constellation,
     linear_quantized_precode,
-    linf_sq_objective,
     prox_sq_inf,
     qp_objective,
+    real_embed,
     squid_precode,
     squid_relax,
     stack_real,
-    vec,
-    vectorize_system,
+    unvec,
 )
 
 from oracles import (
@@ -30,37 +29,55 @@ from oracles import (
 
 
 class TestObjective:
+    """The objective ``squid_relax`` reports, recomputed from its iterate."""
+
+    @staticmethod
+    def _relaxed_objective(b, h_r, s_r, cfg):
+        num_ues, num_antennas = h_r.shape[0] // 2, h_r.shape[1] // 2
+        num_slots = s_r.shape[1]
+        b_r = unvec(b, 2 * num_antennas, num_slots)
+        penalty = (2 * num_ues * num_antennas * num_slots
+                   * cfg.noise_var / cfg.transmit_power)
+        return (np.sum((s_r - h_r @ b_r) ** 2)
+                + penalty * np.max(np.abs(b)) ** 2)
+
     def test_zero_vector_gives_signal_energy(self):
-        rng = np.random.default_rng(0)
-        hbar = rng.standard_normal((4, 6))
-        sbar = rng.standard_normal(4)
-        val = linf_sq_objective(np.zeros(6), hbar, sbar, 2, 3, 1, 0.5, 1.0)
-        assert val == pytest.approx(sbar @ sbar)
+        # the solver starts at b = 0, where the objective is ||s||^2
+        cfg = SystemConfig(3, 2, 1, noise_var=0.5)
+        h = gen_rayleigh_channel(2, 3, seed=0)
+        frame = SymbolFrame.random(get_constellation("16qam"), 2, 1, seed=1)
+        res = squid_relax(h.h_real, stack_real(frame.s), cfg)
+        assert res.objective_history[0] == pytest.approx(
+            np.sum(np.abs(frame.s) ** 2), rel=1e-12)
 
     def test_equal_magnitude_penalty_collapses_to_l2_form(self):
-        # on the constraint set the inf-norm penalty equals (U N0 / P) ||b||^2
-        rng = np.random.default_rng(1)
-        num_ues, num_antennas, num_slots = 2, 3, 2
-        n = 2 * num_antennas * num_slots
-        signs = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
-        b = 0.37 * signs
-        hbar = np.zeros((2 * num_ues * num_slots, n))
-        sbar = np.zeros(2 * num_ues * num_slots)
-        n0, p = 0.25, 2.0
-        val = linf_sq_objective(b, hbar, sbar, num_ues, num_antennas,
-                                num_slots, n0, p)
-        assert val == pytest.approx((num_ues * n0 / p) * (b @ b), rel=1e-12)
+        # an identity channel and a frame of equal entries s (1 + j) give a
+        # relaxed optimum with equal-magnitude entries; there the inf-norm
+        # penalty equals (U N0 / P) ||b||^2
+        num_ues = num_antennas = 3
+        num_slots = 2
+        cfg = SystemConfig(num_antennas, num_ues, num_slots,
+                           noise_var=0.25, transmit_power=2.0)
+        h_r = real_embed(np.eye(num_ues, dtype=complex))
+        s_r = stack_real(0.8 * (1 + 1j) * np.ones((num_ues, num_slots)))
+        res = squid_relax(h_r, s_r, cfg,
+                          SquidOptions(max_iters=5000, rel_tol=1e-14))
+        b = res.b_real_vec
+        assert np.allclose(np.abs(b), np.abs(b[0]), rtol=1e-9, atol=0)
+        b_r = unvec(b, 2 * num_antennas, num_slots)
+        l2_form = (np.sum((s_r - h_r @ b_r) ** 2)
+                   + (num_ues * cfg.noise_var / cfg.transmit_power) * (b @ b))
+        assert res.objective == pytest.approx(l2_form, rel=1e-12)
 
     def test_matches_independent_recomputation(self):
-        rng = np.random.default_rng(2)
-        hbar = rng.standard_normal((6, 8))
-        sbar = rng.standard_normal(6)
-        b = rng.standard_normal(8)
-        n0, p = 0.4, 1.5
-        expected = (np.sum((sbar - hbar @ b) ** 2)
-                    + (2 * 3 * 2 * 2 * n0 / p) * np.max(np.abs(b)) ** 2)
-        assert linf_sq_objective(b, hbar, sbar, 3, 2, 2, n0, p) == pytest.approx(
-            expected, rel=1e-12)
+        cfg = SystemConfig.from_snr_db(6, 2, 3, snr_db=3.0, transmit_power=1.5)
+        h = gen_rayleigh_channel(2, 6, seed=2)
+        frame = SymbolFrame.random(get_constellation("64qam"), 2, 3, seed=3)
+        h_r, s_r = h.h_real, stack_real(frame.s)
+        res = squid_relax(h_r, s_r, cfg, SquidOptions(max_iters=40))
+        assert res.objective == pytest.approx(
+            self._relaxed_objective(res.b_real_vec, h_r, s_r, cfg), rel=1e-12)
+        assert res.objective == res.objective_history.min()
 
 
 class TestProxSqInf:
@@ -125,7 +142,7 @@ class TestSquidRelax:
         cfg = SystemConfig(4, 2, 2, noise_var=1e7, transmit_power=1.0)
         h = gen_rayleigh_channel(2, 4, seed=7)
         frame = SymbolFrame.random(get_constellation("qpsk"), 2, 2, seed=8)
-        res = squid_relax(h, frame.s, cfg)
+        res = squid_relax(h.h_real, stack_real(frame.s), cfg)
         assert np.max(np.abs(res.b_real_vec)) < 1e-6
         assert res.objective == pytest.approx(np.sum(np.abs(frame.s) ** 2),
                                               rel=1e-6)
@@ -134,7 +151,8 @@ class TestSquidRelax:
         cfg = SystemConfig(1, 1, 1, noise_var=0.3, transmit_power=1.0)
         h = np.array([[1.0 + 0j]])
         s = np.array([[0.9 - 0.4j]])
-        res = squid_relax(h, s, cfg, SquidOptions(max_iters=5000, rel_tol=1e-12))
+        res = squid_relax(real_embed(h), stack_real(s), cfg,
+                          SquidOptions(max_iters=5000, rel_tol=1e-12))
         penalty = 2 * cfg.noise_var / cfg.transmit_power  # 2UBK N0 / P, all dims 1
         s_r2 = stack_real(s).ravel()
         grid_obj, _ = grid_search_linf_sq_2d(s_r2, penalty,
@@ -145,7 +163,7 @@ class TestSquidRelax:
         cfg = SystemConfig.from_snr_db(16, 4, 3, snr_db=5.0)
         h = gen_rayleigh_channel(4, 16, seed=9)
         frame = SymbolFrame.random(get_constellation("16qam"), 4, 3, seed=10)
-        res = squid_relax(h, frame.s, cfg,
+        res = squid_relax(h.h_real, stack_real(frame.s), cfg,
                           SquidOptions(momentum=False, max_iters=300))
         diffs = np.diff(res.objective_history)
         assert np.all(diffs <= 1e-10 * max(res.objective_history[0], 1.0))
@@ -154,7 +172,8 @@ class TestSquidRelax:
         cfg = SystemConfig.from_snr_db(8, 2, 2, snr_db=0.0)
         h = gen_rayleigh_channel(2, 8, seed=11)
         frame = SymbolFrame.random(get_constellation("8psk"), 2, 2, seed=12)
-        res = squid_relax(h, frame.s, cfg, SquidOptions(max_iters=3))
+        res = squid_relax(h.h_real, stack_real(frame.s), cfg,
+                          SquidOptions(max_iters=3))
         assert res.objective <= np.sum(np.abs(frame.s) ** 2) + 1e-12
 
     def test_relaxation_lower_bounds_discrete_optimum(self):
@@ -164,10 +183,20 @@ class TestSquidRelax:
             h = gen_rayleigh_channel(1, 2, seed=40 + seed)
             frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1,
                                        seed=50 + seed)
-            res = squid_relax(h, frame.s, cfg,
+            res = squid_relax(h.h_real, stack_real(frame.s), cfg,
                               SquidOptions(max_iters=20000, rel_tol=1e-14))
             _, _, discrete = brute_force_qp(frame.s, h, cfg)
             assert res.objective <= discrete + 1e-9
+
+    def test_complex_inputs_rejected(self):
+        # the relaxation works on the real embedding only
+        cfg = SystemConfig(4, 2, 2, noise_var=0.1)
+        h = gen_rayleigh_channel(2, 4, seed=7)
+        frame = SymbolFrame.random(get_constellation("qpsk"), 2, 2, seed=8)
+        with pytest.raises(TypeError):
+            squid_relax(h, frame.s, cfg)
+        with pytest.raises(TypeError):
+            squid_relax(h.h_real, frame.s, cfg)
 
     def test_lipschitz_estimate_tracks_eigenvalue(self):
         rng = np.random.default_rng(13)
