@@ -5,7 +5,8 @@ At B antennas and K slots the 1-bit transmit frame lives in a set of size
 enumeration. This script draws a handful of small Rayleigh channels and
 prints the frame MSE of quantized ZF, quantized MRT, the squared-inf-norm
 relaxation and the semidefinite relaxation next to the exhaustive optimum
-and the SDP lower bound.
+and the SDP lower bound. The ``sdr`` column rounds the joint K-slot SDP whose
+value is the bound.
 
 Run:  python demos/small_instance_optimality.py
 """
@@ -13,16 +14,15 @@ Run:  python demos/small_instance_optimality.py
 import numpy as np
 
 from onebit_mimo import (
-    SdrOptions,
     SymbolFrame,
     SystemConfig,
     assemble_T,
     brute_force_qp,
+    extract_rank_one,
     gen_rayleigh_channel,
     get_constellation,
     linear_quantized_precode,
     qp_objective,
-    sdr_precode,
     solve_sdp,
     squid_precode,
     stack_real,
@@ -47,14 +47,14 @@ for seed in range(8):
 
     _, _, best = brute_force_qp(frame.s, h, cfg)
     hbar, sbar = vectorize_system(h.h_real, stack_real(frame.s))
-    bound = solve_sdp(
+    sol = solve_sdp(
         assemble_T(hbar, sbar, cfg.num_ues, cfg.noise_var, cfg.transmit_power),
         tol=1e-8, max_iters=20000,
-    ).objective
+    )
     row = [
-        bound,
+        sol.objective,
         best,
-        objective_of(sdr_precode(frame.s, h, cfg, SdrOptions(block_mode=True))),
+        objective_of(extract_rank_one(sol, frame.s, h, cfg)),
         objective_of(squid_precode(frame.s, h, cfg)),
         objective_of(linear_quantized_precode(frame.s, h, cfg, kind="zf")),
         objective_of(linear_quantized_precode(frame.s, h, cfg, kind="mrt")),

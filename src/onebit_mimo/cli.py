@@ -1,17 +1,22 @@
 """Command line front end for BER sweeps.
 
-Flags mirror a flat ``key = value`` configuration file (``--config``); values
-given on the command line override the file, which overrides the defaults.
+Every setting is one option of :func:`build_parser`, and the option's
+``dest`` is the setting's key in a flat ``key = value`` configuration file
+(``--config``). The file's values become the parser's defaults and the
+command line is parsed again, so file values are type-checked like flags and
+flags override the file, which overrides the defaults.
 
 Config file grammar: one ``key = value`` pair per line; blank lines and text
-after ``#`` are ignored. Keys are the long CLI flag names with underscores
+after ``#`` are ignored. Keys are the long flag names with underscores
 (``bs_antennas``, ``ues``, ``slots``, ``snr_db``, ``constellation``,
 ``precoder``, ``estimator``, ``trials``, ``seed``, ``out``,
-``stop_after_errors``) plus solver options ``squid.max_iters``,
-``squid.rel_tol``, ``sdr.tol``, ``sdr.max_iters``, ``sdr.block_mode``.
-List values (``snr_db``, ``precoder``) are comma separated.
+``stop_after_errors``) plus the solver options ``squid.max_iters``,
+``squid.rel_tol``, ``sdr.tol`` and ``sdr.max_iters``, whose flags are
+spelled as their keys (``--squid.max_iters 500``). List values (``snr_db``,
+``precoder``) are comma separated.
 
-Exit status is nonzero when any trial recorded a hard failure.
+Exit status is 2 for an invalid setting (no trial runs), 1 when any trial
+recorded a hard failure, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -25,31 +30,59 @@ from .sdr import SdrOptions
 from .sim import ESTIMATOR_IDS, PRECODER_IDS, SweepConfig, sweep
 from .squid import SquidOptions
 
-_DEFAULTS = {
-    "bs_antennas": 128,
-    "ues": 16,
-    "slots": 10,
-    "snr_db": "-10,-6,-2,2,6,10",
-    "constellation": "qpsk",
-    "precoder": "squid",
-    "estimator": "blind",
-    "trials": 10,
-    "seed": 0,
-    "out": "ber_results.csv",
-    "stop_after_errors": 0,
-    "squid.max_iters": 2000,
-    "squid.rel_tol": 1e-6,
-    "sdr.tol": 1e-6,
-    "sdr.max_iters": 5000,
-    "sdr.block_mode": False,
-}
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+def float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def parse_config_file(path) -> dict:
-    """Parse the flat key = value grammar into a string-valued dict."""
+def name_list(text: str) -> tuple:
+    return tuple(v.strip().lower() for v in text.split(",") if v.strip())
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="onebit-mimo",
+        usage="%(prog)s [--config FILE] [--KEY VALUE ...]",
+        description="Monte-Carlo BER sweeps for 1-bit massive MU-MIMO downlink precoding",
+    )
+    add = parser.add_argument
+    add("--config", type=str, default=None,
+        help="key = value config file; CLI flags override it")
+    add("--bs-antennas", dest="bs_antennas", type=int, default=128)
+    add("--ues", type=int, default=16)
+    add("--slots", type=int, default=10)
+    add("--snr-db", dest="snr_db", type=float_list,
+        default=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0),
+        help="comma separated SNR list in dB")
+    add("--constellation", type=str.lower, default="qpsk",
+        help=f"one of {', '.join(CONSTELLATION_IDS)}")
+    add("--precoder", type=name_list, default=("squid",),
+        help=f"comma separated subset of {', '.join(PRECODER_IDS)}")
+    add("--estimator", type=str.lower, default="blind",
+        help=f"one of {', '.join(ESTIMATOR_IDS)}")
+    add("--trials", type=int, default=10, help="Monte-Carlo trials per point")
+    add("--seed", type=int, default=0, help="master seed")
+    add("--out", type=str, default="ber_results.csv", help="output CSV path")
+    add("--stop-after-errors", dest="stop_after_errors", type=int, default=0,
+        help="stop a point early after this many bit errors (0 disables)")
+    add("--squid.max_iters", type=int, default=SquidOptions.max_iters,
+        help="SQUID iteration budget")
+    add("--squid.rel_tol", type=float, default=SquidOptions.rel_tol,
+        help="SQUID relative stopping tolerance")
+    add("--sdr.tol", type=float, default=SdrOptions.tol,
+        help="ADMM residual tolerance")
+    add("--sdr.max_iters", type=int, default=SdrOptions.max_iters,
+        help="ADMM iteration budget per slot")
+    return parser
+
+
+def parse_config_file(path, parser: argparse.ArgumentParser | None = None) -> dict:
+    """Parse the flat key = value grammar into a string-valued dict.
+
+    Keys are checked against the option destinations of ``parser``
+    (:func:`build_parser` when omitted).
+    """
+    keys = vars((parser or build_parser()).parse_args([])).keys() - {"config"}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -59,107 +92,57 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    default = _DEFAULTS[key]
-    if isinstance(default, bool):
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"cannot parse boolean for {key}: {value!r}")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="onebit-mimo",
-        description="Monte-Carlo BER sweeps for 1-bit massive MU-MIMO downlink precoding",
-    )
-    parser.add_argument("--config", type=str, default=None,
-                        help="key = value config file; CLI flags override it")
-    parser.add_argument("--bs-antennas", dest="bs_antennas", type=int)
-    parser.add_argument("--ues", type=int)
-    parser.add_argument("--slots", type=int)
-    parser.add_argument("--snr-db", dest="snr_db", type=str,
-                        help="comma separated SNR list in dB")
-    parser.add_argument("--constellation", type=str,
-                        help=f"one of {', '.join(CONSTELLATION_IDS)}")
-    parser.add_argument("--precoder", type=str,
-                        help=f"comma separated subset of {', '.join(PRECODER_IDS)}")
-    parser.add_argument("--estimator", type=str,
-                        help=f"one of {', '.join(ESTIMATOR_IDS)}")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", type=str, help="output CSV path")
-    parser.add_argument("--stop-after-errors", dest="stop_after_errors", type=int,
-                        help="stop a point early after this many bit errors (0 disables)")
-    return parser
-
-
-def resolve_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+def parse_settings(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
+    """Parse ``argv``; the values of a ``--config`` file replace the defaults."""
+    args = parser.parse_args(argv)
     if args.config is not None:
-        settings.update(parse_config_file(args.config))
-    for key in ("bs_antennas", "ues", "slots", "snr_db", "constellation",
-                "precoder", "estimator", "trials", "seed", "out",
-                "stop_after_errors"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    return {key: _coerce(key, value) for key, value in settings.items()}
+        parser.set_defaults(**parse_config_file(args.config, parser))
+        args = parser.parse_args(argv)
+    return args
 
 
-def sweep_config_from_settings(settings: dict) -> SweepConfig:
-    snr_db = settings["snr_db"]
-    if isinstance(snr_db, str):
-        snr_db = [float(v) for v in snr_db.split(",") if v.strip()]
-    precoders = settings["precoder"]
-    if isinstance(precoders, str):
-        precoders = [p.strip().lower() for p in precoders.split(",") if p.strip()]
-    stop = settings["stop_after_errors"] or None
+def sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """The sweep that parsed settings describe."""
+    opts = vars(args)
     return SweepConfig(
-        num_bs_antennas=settings["bs_antennas"],
-        num_ues=settings["ues"],
-        num_slots=settings["slots"],
-        snr_db=snr_db,
-        constellation=settings["constellation"].lower(),
-        precoders=precoders,
-        estimator=settings["estimator"].lower(),
-        trials=settings["trials"],
-        seed=settings["seed"],
-        out=settings["out"],
-        stop_after_errors=stop,
-        squid=SquidOptions(max_iters=settings["squid.max_iters"],
-                           rel_tol=settings["squid.rel_tol"]),
-        sdr=SdrOptions(tol=settings["sdr.tol"],
-                       max_iters=settings["sdr.max_iters"],
-                       block_mode=settings["sdr.block_mode"]),
+        num_bs_antennas=args.bs_antennas,
+        num_ues=args.ues,
+        num_slots=args.slots,
+        snr_db=args.snr_db,
+        constellation=args.constellation,
+        precoders=args.precoder,
+        estimator=args.estimator,
+        trials=args.trials,
+        seed=args.seed,
+        out=args.out,
+        stop_after_errors=args.stop_after_errors or None,
+        squid=SquidOptions(max_iters=opts["squid.max_iters"],
+                           rel_tol=opts["squid.rel_tol"]),
+        sdr=SdrOptions(tol=opts["sdr.tol"], max_iters=opts["sdr.max_iters"]),
     )
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = sweep_config_from_settings(resolve_settings(args))
+    parser = build_parser()
+    try:
+        cfg = sweep_config(parse_settings(parser, argv))
+    except (OSError, ValueError, KeyError) as err:
+        # str() of a KeyError is the repr of its message
+        parser.error(str(err.args[0] if isinstance(err, KeyError) else err))
     records = sweep(cfg)
     hard_failures = 0
     for rec in records:
         print(f"snr={rec.snr_db:g} dB  precoder={rec.precoder}  "
               f"constellation={rec.constellation}  estimator={rec.estimator}  "
               f"ber={rec.ber:.3e}  bits={rec.bits_total}  "
-              f"clamps={rec.clamp_flags}  failures={rec.failures}")
+              f"clamps={rec.clamp_flags}  flags={rec.precoder_flags}  "
+              f"failures={rec.failures}")
         hard_failures += rec.failures
     if cfg.out is not None:
         print(f"wrote {cfg.out}")

@@ -9,9 +9,10 @@ closed-form projection onto the affine constraint set with a projection
 onto the PSD cone; a 1-bit frame is then extracted by sign-quantizing the
 leading eigenvector.
 
-Per-slot operation (K independent single-slot SDPs) is the default and
-matches the evaluated configuration; a block mode solving the joint K-slot
-SDP is available for small B*K.
+:func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
+configuration. The joint K-slot SDP (dimension 2BK+1) is the composition
+``vectorize_system`` -> :func:`assemble_T` -> :func:`solve_sdp` ->
+:func:`extract_rank_one`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
     unstack_real,
     unvec,
     vec,
-    vectorize_system,
 )
 
 
@@ -38,7 +38,6 @@ from .model import (
 class SdrOptions:
     tol: float = 1e-6
     max_iters: int = 5000
-    block_mode: bool = False
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -71,6 +70,8 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
+    #: (iterations, 2) primal and dual residuals; :func:`solve_sdp` always
+    #: fills it
     residual_history: np.ndarray | None = None
 
 
@@ -128,8 +129,8 @@ def _constraint_violation(z: np.ndarray, num_vec: int) -> float:
 RHO_ADAPT_BURN_IN = 1000
 
 
-def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
-              record_history: bool = False) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
+              max_iters: int = SdrOptions.max_iters) -> SdpSolution:
     """ADMM over the affine constraint set and the PSD cone.
 
     x-update: project (z - u - T/rho) onto the affine set (closed form:
@@ -148,7 +149,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
     z = np.zeros((n, n))
     z[n_vec, n_vec] = 1.0
     dual = np.zeros((n, n))
-    history = [] if record_history else None
+    history = []
     rho = 1.0
     primal = dual_res = np.inf
     converged = False
@@ -162,8 +163,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
 
         primal = float(np.linalg.norm(x - z))
         dual_res = float(rho * np.linalg.norm(z - z_prev))
-        if history is not None:
-            history.append((primal, dual_res))
+        history.append((primal, dual_res))
 
         if max(primal, dual_res) < tol and _constraint_violation(z, n_vec) <= tol:
             converged = True
@@ -184,7 +184,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6, max_iters: int = 5000,
         dual_residual=dual_res,
         iterations=iterations,
         converged=converged,
-        residual_history=np.asarray(history) if history is not None else None,
+        residual_history=np.asarray(history),
     )
 
 
@@ -228,10 +228,9 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
                 opts: SdrOptions | None = None) -> PrecodeResult:
     """End-to-end SDR precoding.
 
-    Default mode solves K independent single-slot SDPs and concatenates the
-    rounded slots; block mode lifts the joint K-slot problem (dimension
-    2BK+1). Either way the returned factor is the conditional optimum for
-    the full rounded frame.
+    Solves K independent single-slot SDPs (dimension 2B+1 each) and
+    concatenates the rounded slots; the returned factor is the conditional
+    optimum for the full rounded frame.
     """
     opts = opts or SdrOptions()
     s = np.asarray(s, dtype=complex)
@@ -239,14 +238,6 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
     h_r = real_embed(h)
     num_slots = s.shape[1]
     flags: list[str] = []
-
-    if opts.block_mode:
-        hbar_r, sbar_r = vectorize_system(h_r, stack_real(s))
-        sol = solve_sdp(assemble_T(hbar_r, sbar_r, cfg.num_ues,
-                                   cfg.noise_var, cfg.transmit_power),
-                        tol=opts.tol, max_iters=opts.max_iters)
-        return extract_rank_one(sol, s, h, cfg)
-
     columns = []
     for k in range(num_slots):
         s_slot = s[:, k:k + 1]

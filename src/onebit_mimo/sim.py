@@ -99,11 +99,16 @@ class TrialResult:
     clamp_flags: int
     precoder_flags: int
     objective: float
-    beta: float
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A grid of SNR points x precoders at one system size and P = 1.
+
+    Construction validates every setting, so a bad precoder id, estimator,
+    constellation or system size fails before any trial runs.
+    """
+
     num_bs_antennas: int
     num_ues: int
     num_slots: int
@@ -115,7 +120,6 @@ class SweepConfig:
     seed: int
     out: str | Path | None = None
     stop_after_errors: int | None = None
-    transmit_power: float = 1.0
     squid: SquidOptions | None = None
     sdr: SdrOptions | None = None
 
@@ -132,6 +136,17 @@ class SweepConfig:
             raise ValueError("seed must be nonnegative")
         if self.stop_after_errors is not None and self.stop_after_errors < 1:
             raise ValueError("stop_after_errors must be >= 1 (or None)")
+        get_constellation(self.constellation)
+        for precoder in self.precoders:
+            self.trial_config(self.snr_db[0], precoder)
+
+    def trial_config(self, snr_db: float, precoder: str) -> TrialConfig:
+        """The configuration of every trial of one (SNR, precoder) point."""
+        system = SystemConfig.from_snr_db(self.num_bs_antennas, self.num_ues,
+                                          self.num_slots, snr_db=snr_db)
+        return TrialConfig(system=system, constellation=self.constellation,
+                           precoder=precoder, estimator=self.estimator,
+                           squid=self.squid, sdr=self.sdr)
 
 
 @dataclass(frozen=True)
@@ -241,7 +256,6 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
         clamp_flags=est.clamped,
         precoder_flags=len(pre.flags),
         objective=qp_objective(s_tx, h, pre.x, pre.beta, system.noise_var),
-        beta=pre.beta,
     )
 
 
@@ -323,17 +337,10 @@ def sweep(cfg: SweepConfig) -> list:
     trials once that many bit errors have been seen (opt-in, off by
     default).
     """
-    get_constellation(cfg.constellation)  # validate early
     records = []
     for point_index, snr_db in enumerate(cfg.snr_db):
-        system = SystemConfig.from_snr_db(
-            cfg.num_bs_antennas, cfg.num_ues, cfg.num_slots,
-            snr_db=snr_db, transmit_power=cfg.transmit_power,
-        )
         for precoder in cfg.precoders:
-            tcfg = TrialConfig(system=system, constellation=cfg.constellation,
-                               precoder=precoder, estimator=cfg.estimator,
-                               squid=cfg.squid, sdr=cfg.sdr)
+            tcfg = cfg.trial_config(snr_db, precoder)
             t0 = time.perf_counter()
             errors = bits = clamps = flags = failures = done = 0
             for trial_index in range(cfg.trials):

@@ -1,19 +1,25 @@
 """Tests for the command line front end and the config file grammar."""
 
+from pathlib import Path
+
 import pytest
 
 from onebit_mimo.cli import (
     build_parser,
     main,
     parse_config_file,
-    resolve_settings,
-    sweep_config_from_settings,
+    parse_settings,
+    sweep_config,
 )
+from onebit_mimo.sdr import SdrOptions
 from onebit_mimo.sim import CSV_HEADER
+from onebit_mimo.squid import SquidOptions
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "example_sweep.cfg"
 
 
 def _settings(argv):
-    return resolve_settings(build_parser().parse_args(argv))
+    return parse_settings(build_parser(), argv)
 
 
 class TestConfigFile:
@@ -25,19 +31,20 @@ class TestConfigFile:
             "ues = 2\n"
             "snr_db = 0, 5, 10   # dB\n"
             "precoder = zfq,squid\n"
-            "sdr.block_mode = true\n"
+            "sdr.max_iters = 50\n"
             "\n"
         )
         values = parse_config_file(cfg)
         assert values["bs_antennas"] == "8"
         assert values["snr_db"] == "0, 5, 10"
-        assert values["sdr.block_mode"] == "true"
+        assert values["sdr.max_iters"] == "50"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("antennas = 8\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config_file(cfg)
+        for line in ("antennas = 8\n", "sdr.block_mode = false\n", "config = x\n"):
+            cfg.write_text(line)
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config_file(cfg)
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -47,12 +54,24 @@ class TestConfigFile:
 
     def test_cli_overrides_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\n")
-        settings = _settings(["--config", str(cfg), "--trials", "9"])
-        assert settings["bs_antennas"] == 8   # from file
-        assert settings["trials"] == 9        # CLI wins
-        assert settings["seed"] == 3          # from file
-        assert settings["ues"] == 16          # default
+        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\nsdr.tol = 1e-3\n")
+        settings = _settings(["--config", str(cfg), "--trials", "9",
+                              "--sdr.tol", "1e-5"])
+        assert settings.bs_antennas == 8   # from file
+        assert settings.trials == 9        # CLI wins
+        assert settings.seed == 3          # from file
+        assert settings.ues == 16          # default
+        assert vars(settings)["sdr.tol"] == 1e-5
+
+    def test_shipped_example_builds_its_sweep(self):
+        sweep_cfg = sweep_config(_settings(["--config", str(EXAMPLE_CONFIG)]))
+        assert sweep_cfg.num_bs_antennas == 128
+        assert sweep_cfg.snr_db == (-8.0, -4.0, 0.0, 4.0, 8.0, 12.0)
+        assert sweep_cfg.constellation == "16qam"
+        assert sweep_cfg.precoders == ("zfq", "squid")
+        assert sweep_cfg.stop_after_errors is None
+        assert sweep_cfg.squid == SquidOptions()
+        assert sweep_cfg.sdr == SdrOptions()
 
 
 class TestSweepConfigMapping:
@@ -65,22 +84,23 @@ class TestSweepConfigMapping:
             "--snr-db", "0,6", "--precoder", "zfq, squid",
             "--constellation", "QPSK", "--estimator", "genie",
             "--trials", "2", "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            "--squid.rel_tol", "1e-3", "--sdr.max_iters", "77",
         ])
-        sweep_cfg = sweep_config_from_settings(settings)
+        sweep_cfg = sweep_config(settings)
         assert sweep_cfg.snr_db == (0.0, 6.0)
         assert sweep_cfg.precoders == ("zfq", "squid")
         assert sweep_cfg.constellation == "qpsk"
-        assert sweep_cfg.squid.max_iters == 123
-        assert sweep_cfg.sdr.tol == 1e-4
+        assert sweep_cfg.squid == SquidOptions(max_iters=123, rel_tol=1e-3)
+        assert sweep_cfg.sdr == SdrOptions(tol=1e-4, max_iters=77)
         assert sweep_cfg.stop_after_errors is None
 
     def test_stop_after_errors_zero_disables(self):
         settings = _settings(["--stop-after-errors", "0"])
-        assert sweep_config_from_settings(settings).stop_after_errors is None
+        assert sweep_config(settings).stop_after_errors is None
 
     def test_negative_snr_list_with_equals_form(self):
         settings = _settings(["--snr-db=-8,-4,0"])
-        assert sweep_config_from_settings(settings).snr_db == (-8.0, -4.0, 0.0)
+        assert sweep_config(settings).snr_db == (-8.0, -4.0, 0.0)
 
 
 class TestMain:
@@ -112,3 +132,33 @@ class TestMain:
                      "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert "failed" in capsys.readouterr().err
+
+    def test_solver_nonconvergence_is_printed(self, tmp_path, capsys):
+        code = main(self.ARGS + ["--precoder", "squid", "--squid.max_iters", "1",
+                                 "--out", str(tmp_path / "n.csv")])
+        assert code == 0
+        counts = [int(field.split("=")[1])
+                  for line in capsys.readouterr().out.splitlines()
+                  for field in line.split() if field.startswith("flags=")]
+        assert len(counts) == 2 and all(n > 0 for n in counts)
+
+    @pytest.mark.parametrize("file_text, argv, message", [
+        ("trials = abc\n", [], "invalid int value: 'abc'"),
+        ("", ["--stop-after-errors", "-1"], "stop_after_errors must be >= 1"),
+        ("", ["--precoder", "zfq,nope"], "unknown precoder 'nope'"),
+        ("", ["--constellation", "5qam"], "unknown constellation '5qam'"),
+        ("sdr.block_mode = false\n", [], "unknown key 'sdr.block_mode'"),
+    ])
+    def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                      file_text, argv, message):
+        cfg, out = tmp_path / "s.cfg", tmp_path / "never.csv"
+        # a later line overrides an earlier one
+        cfg.write_text("bs_antennas = 4\nues = 2\nslots = 2\nsnr_db = 0\n"
+                       "precoder = zfq\ntrials = 1\n" + file_text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--out", str(out)] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines()[-1].startswith("onebit-mimo: error: ")
+        assert message in captured.err and "Traceback" not in captured.err

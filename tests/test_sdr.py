@@ -6,7 +6,6 @@ import pytest
 from onebit_mimo import (
     SdpProblem,
     SdpSolution,
-    SdrOptions,
     SymbolFrame,
     SystemConfig,
     assemble_T,
@@ -135,7 +134,8 @@ class TestSolveSdp:
         h = gen_rayleigh_channel(1, 2, seed=42)
         frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=43)
         sol = solve_sdp(_lifted_problem(frame.s, h, cfg), tol=1e-14,
-                        max_iters=600, record_history=True)
+                        max_iters=600)
+        assert sol.residual_history.shape == (sol.iterations, 2)
         combined = sol.residual_history.sum(axis=1)
         window = 100
         stops = range(0, combined.size - window + 1, window)
@@ -230,13 +230,14 @@ class TestSdrPrecode:
             assert np.array_equal(whole.x[:, k:k + 1], single.x)
 
     def test_block_and_per_slot_agree_on_separable_frame(self):
-        # duplicated slots make the joint optimum slot-separable
+        # duplicated slots make the joint optimum slot-separable; the joint
+        # K-slot lift is the vectorize -> assemble -> solve -> extract chain
         cfg = SystemConfig(2, 1, 2, noise_var=0.2)
         h = gen_rayleigh_channel(1, 2, seed=62)
         one = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=63)
         s = np.concatenate([one.s, one.s], axis=1)
         per_slot = sdr_precode(s, h, cfg)
-        block = sdr_precode(s, h, cfg, SdrOptions(block_mode=True))
+        block = extract_rank_one(solve_sdp(_lifted_problem(s, h, cfg)), s, h, cfg)
         obj_ps = qp_objective(s, h, per_slot.x, per_slot.beta, cfg.noise_var)
         obj_bk = qp_objective(s, h, block.x, block.beta, cfg.noise_var)
         assert obj_bk == pytest.approx(obj_ps, rel=1e-3)

@@ -155,6 +155,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             self._cfg(precoders=())
 
+    def test_bad_settings_rejected_at_construction(self):
+        # sweep would only meet these at a point's turn, after earlier trials
+        for overrides in (dict(precoders=("zfq", "nope")),
+                          dict(estimator="oracle"),
+                          dict(estimator="pilot", num_slots=1),
+                          dict(num_bs_antennas=1)):
+            with pytest.raises(ValueError):
+                self._cfg(**overrides)
+        with pytest.raises(KeyError):
+            self._cfg(constellation="5qam")
+
     def test_single_point_single_trial(self):
         records = sweep(self._cfg(snr_db=(4.0,), precoders=("zfq",), trials=1))
         assert len(records) == 1
