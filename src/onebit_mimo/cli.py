@@ -80,9 +80,11 @@ def parse_config_file(path, parser: argparse.ArgumentParser | None = None) -> di
     """Parse the flat key = value grammar into a string-valued dict.
 
     Keys are checked against the option destinations of ``parser``
-    (:func:`build_parser` when omitted).
+    (:func:`build_parser` when omitted) and each value against its option's
+    type, so an error names the file, the line and the key.
     """
-    keys = vars((parser or build_parser()).parse_args([])).keys() - {"config"}
+    types = {a.dest: a.type for a in (parser or build_parser())._actions
+             if a.dest not in ("help", "config")}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -91,10 +93,15 @@ def parse_config_file(path, parser: argparse.ArgumentParser | None = None) -> di
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in keys:
+        key, value = key.strip(), value.strip()
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        try:
+            types[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key}: invalid "
+                             f"{types[key].__name__} value: {value!r}") from None
+        values[key] = value
     return values
 
 

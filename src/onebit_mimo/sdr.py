@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import _sgn
+from .linear import one_bit_quantize
 from .model import (
     PrecodeResult,
     SystemConfig,
@@ -30,7 +30,6 @@ from .model import (
     stack_real,
     unstack_real,
     unvec,
-    vec,
 )
 
 
@@ -48,18 +47,21 @@ class SdrOptions:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Cost matrix of the lifted program plus the tied-diagonal block size.
+    """Cost matrix of the lifted program.
 
-    Constraints (implied by ``num_vec``): X[b,b] = X[0,0] for b < num_vec,
-    X[-1,-1] = 1, X PSD.
+    Constraints: X[b,b] = X[0,0] for b < num_vec, X[-1,-1] = 1, X PSD.
     """
 
     t: np.ndarray
-    num_vec: int
 
     @property
     def dim(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def num_vec(self) -> int:
+        """Size of the tied-diagonal block: every entry but the last."""
+        return self.dim - 1
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def assemble_T(hbar_r: np.ndarray, sbar_r: np.ndarray, num_ues: int,
     t[:n_vec, n_vec] = -cross
     t[n_vec, :n_vec] = -cross
     t[n_vec, n_vec] = float(sbar_r @ sbar_r)
-    return SdpProblem(t=t, num_vec=n_vec)
+    return SdpProblem(t=t)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -192,8 +194,8 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
     """Round the SDP solution to a 1-bit frame via its leading eigenvector.
 
     The global sign is flipped so the homogenization entry is nonnegative
-    (it stands for the constant 1), the first 2BK entries are sign-quantized
-    to +-l, de-vectorized and de-embedded, and the precoding factor is the
+    (it stands for the constant 1), the first 2BK entries are de-vectorized,
+    de-embedded and quantized to {+-l +-jl}, and the precoding factor is the
     conditional optimum for the rounded frame. A (near-)degenerate leading
     eigenvalue is resolved deterministically by the eigensolver's ordering
     and flagged.
@@ -212,12 +214,8 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
     n_vec = leading.size - 1
     num_antennas = cfg.num_bs_antennas
     num_slots = n_vec // (2 * num_antennas)
-    if 2 * num_antennas * num_slots != n_vec:
-        raise ValueError("solution dimension does not match the antenna count")
-    level = cfg.quant_level
-    xbar_r = level * _sgn(leading[:n_vec])
-    # entries already in {+-l +-jl}
-    x = unstack_real(unvec(xbar_r, 2 * num_antennas, num_slots))
+    b = unstack_real(unvec(leading[:n_vec], 2 * num_antennas, num_slots))
+    x = one_bit_quantize(b, cfg.transmit_power)
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     if not sol.converged:
         flags.append("sdr_nonconverged")
@@ -235,17 +233,14 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
     opts = opts or SdrOptions()
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    h_r = real_embed(h)
-    num_slots = s.shape[1]
+    h_r, s_r = real_embed(h), stack_real(s)
     flags: list[str] = []
     columns = []
-    for k in range(num_slots):
-        s_slot = s[:, k:k + 1]
-        sbar_r = vec(stack_real(s_slot))
-        sol = solve_sdp(assemble_T(h_r, sbar_r, cfg.num_ues,
+    for k in range(s.shape[1]):
+        sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power),
                         tol=opts.tol, max_iters=opts.max_iters)
-        slot_result = extract_rank_one(sol, s_slot, h, cfg)
+        slot_result = extract_rank_one(sol, s[:, k:k + 1], h, cfg)
         columns.append(slot_result.x)
         flags.extend(f for f in slot_result.flags if f not in flags)
 

@@ -41,6 +41,7 @@ from .model import (
     qp_objective,
     real_embed,
     stack_real,
+    unstack_real,
 )
 from .sdr import SdrOptions, sdr_precode
 from .squid import SquidOptions, squid_precode
@@ -56,7 +57,15 @@ PRECODERS = {
     "bruteforce": lambda s, h, cfg: PrecodeResult(*brute_force_qp(s, h, cfg.system)[:2]),
 }
 PRECODER_IDS = tuple(PRECODERS)
-ESTIMATOR_IDS = ("genie", "pilot", "blind")
+#: estimator id -> (pilot slots, (precoder result, y, trial config) ->
+#: FactorEstimate); the pilot slots lead the frame with sqrt(Es) = 1 at every
+#: UE, and each entry looks its estimator up by name when called
+ESTIMATORS = {
+    "genie": (0, lambda pre, y, cfg: genie_estimate(pre, cfg.system.num_ues)),
+    "pilot": (1, lambda pre, y, cfg: pilot_mle(y[:, 0], es=1.0)),
+    "blind": (0, lambda pre, y, cfg: blind_estimate(y, 1.0, cfg.system.noise_var)),
+}
+ESTIMATOR_IDS = tuple(ESTIMATORS)
 
 CSV_HEADER = ("snr_db,precoder,constellation,estimator,trials,"
               "bits_total,bit_errors,ber,clamp_flags")
@@ -86,8 +95,9 @@ class TrialConfig:
             raise ValueError(f"unknown precoder {self.precoder!r}; choose from {PRECODER_IDS}")
         if self.estimator not in ESTIMATOR_IDS:
             raise ValueError(f"unknown estimator {self.estimator!r}; choose from {ESTIMATOR_IDS}")
-        if self.estimator == "pilot" and self.system.num_slots < 2:
-            raise ValueError("pilot estimation consumes slot 1; need num_slots >= 2")
+        if self.system.num_slots <= (pilots := ESTIMATORS[self.estimator][0]):
+            raise ValueError(f"{self.estimator} estimation consumes {pilots} "
+                             f"slot(s); need num_slots > {pilots}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,8 @@ class SweepConfig:
             raise ValueError("seed must be nonnegative")
         if self.stop_after_errors is not None and self.stop_after_errors < 1:
             raise ValueError("stop_after_errors must be >= 1 (or None)")
+        if self.out is not None and not Path(self.out).parent.is_dir():
+            raise ValueError(f"output directory of {str(self.out)!r} does not exist")
         get_constellation(self.constellation)
         for precoder in self.precoders:
             self.trial_config(self.snr_db[0], precoder)
@@ -222,30 +234,16 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     """Run one end-to-end trial; fully determined by ``trial_seed``."""
     system = cfg.system
     const = get_constellation(cfg.constellation)
-    pilot_mode = cfg.estimator == "pilot"
-    payload_slots = system.num_slots - 1 if pilot_mode else system.num_slots
+    pilots, estimate = ESTIMATORS[cfg.estimator]
 
     h, frame, noise = draw_trial_data(system, cfg.constellation,
-                                      payload_slots, trial_seed)
-    if pilot_mode:
-        # pilot slot k=1 carries sqrt(Es)=1 at every UE; payload fills the rest
-        pilot_col = np.ones((system.num_ues, 1), dtype=complex)
-        s_tx = np.concatenate([pilot_col, frame.s], axis=1)
-    else:
-        s_tx = frame.s
+                                      system.num_slots - pilots, trial_seed)
+    s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
 
     pre = PRECODERS[cfg.precoder](s_tx, h, cfg)
     y = apply_channel(h, pre.x, noise)
-
-    if cfg.estimator == "genie":
-        est = genie_estimate(pre, system.num_ues)
-    elif pilot_mode:
-        est = pilot_mle(y[:, 0], es=1.0)
-    else:
-        est = blind_estimate(y, es=1.0, noise_var=system.noise_var)
-
-    payload_y = y[:, 1:] if pilot_mode else y
-    s_hat = est.betas[:, None] * payload_y
+    est = estimate(pre, y, cfg)
+    s_hat = est.betas[:, None] * y[:, pilots:]
     _, bits_hat = detect(s_hat, const)
     bits_hat = bits_hat.reshape(system.num_ues, -1)
     bit_errors = np.sum(bits_hat != frame.bits, axis=1)
@@ -286,7 +284,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
         )
     h_r = real_embed(h)
     s_r = stack_real(s)
-    level = math.sqrt(cfg.transmit_power / (2.0 * num_antennas))
+    level = cfg.quant_level
     s_energy = float(np.sum(s_r * s_r))
     noise_term = num_ues * num_slots * cfg.noise_var
 
@@ -314,8 +312,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
 
     bits = (best_pattern >> bit_weights) & 1
     signs = 1.0 - 2.0 * bits.astype(float)
-    xr = (level * signs).reshape(num_slots, 2 * num_antennas).T
-    x = xr[:num_antennas] + 1j * xr[num_antennas:]
+    x = unstack_real((level * signs).reshape(num_slots, 2 * num_antennas).T)
     # recompute through the shared routines so comparisons with heuristic
     # precoders follow identical floating-point paths
     beta_star = optimal_beta_for(x, s, h, cfg.noise_var)

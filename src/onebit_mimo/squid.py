@@ -8,12 +8,13 @@ equal-magnitude constraints leaves the convex program
 
 which this module solves with an accelerated proximal-gradient method:
 gradient steps on the least-squares term, exact proximal steps on the
-squared-infinity-norm penalty, step size 1/L with L = 2 lambda_max(Hbar^T
-Hbar) estimated by power iteration. Only matrix-vector products with the
-per-slot embedded channel are needed; the block matrix I_K kron H_R is never
-formed. :func:`squid_precode` rounds the relaxed solution to the 1-bit set,
-refines the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and
-returns the frame with its conditionally optimal precoding factor.
+squared-infinity-norm penalty, step size 1/L with L = 2 sigma_max(H_R)^2,
+the exact Lipschitz constant of the gradient (I_K kron H_R has the singular
+values of H_R). Only products with the per-slot embedded channel are needed;
+the block matrix I_K kron H_R is never formed. :func:`squid_precode` rounds
+the relaxed solution to the 1-bit set, refines the signs greedily for up to
+``REFINEMENT_ROUNDS`` rounds, and returns the frame with its conditionally
+optimal precoding factor.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .model import (
     real_embed,
     stack_real,
     unstack_real,
-    unvec,
-    vec,
 )
 
 #: greedy sign-refinement rounds after rounding the relaxed solution
@@ -53,9 +52,9 @@ class SquidOptions:
 
 @dataclass(frozen=True)
 class SquidResult:
-    """Best iterate of the relaxation solver (vectorized real embedding)."""
+    """Best iterate of the relaxation solver as the (2B x K) real embedding."""
 
-    b_real_vec: np.ndarray
+    b_real: np.ndarray
     objective: float
     objective_history: np.ndarray
     converged: bool
@@ -89,30 +88,10 @@ def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(v) * np.minimum(mags, t)
 
 
-def estimate_gradient_lipschitz(h_r: np.ndarray, iters: int = 50,
-                                tol: float = 1e-6) -> float:
-    """L = 2 lambda_max(H_R^T H_R) by power iteration on the Gram matrix.
-
-    The Rayleigh quotient approaches lambda_max from below, and the descent
-    guarantee needs step <= 1/L, so the estimate is padded by 1%.
-    """
-    gram = h_r.T @ h_r
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        lam_new = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 2e-12
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return 2.0 * lam * 1.01
+def estimate_gradient_lipschitz(h_r: np.ndarray) -> float:
+    """L = 2 sigma_max(H_R)^2, the Lipschitz constant of the gradient of
+    ||sbar - Hbar b||^2."""
+    return 2.0 * float(np.linalg.norm(h_r, 2)) ** 2
 
 
 def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
@@ -149,8 +128,7 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     b = np.zeros((2 * num_antennas, num_slots))
     y = b
     t_momentum = 1.0
-    resid0 = (h_r @ b) - s_r
-    f_cur = objective(b, resid0)
+    f_cur = objective(b, (h_r @ b) - s_r)
     history = [f_cur]
     b_best, f_best = b, f_cur
     converged = False
@@ -182,7 +160,7 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
             break
 
     return SquidResult(
-        b_real_vec=vec(b_best),
+        b_real=b_best,
         objective=f_best,
         objective_history=np.asarray(history),
         converged=converged,
@@ -240,7 +218,7 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
                   opts: SquidOptions | None = None) -> PrecodeResult:
     """Relax, round to the 1-bit transmit set, recover the precoding factor.
 
-    Rounding quantizes the de-vectorized, de-embedded relaxed solution
+    Rounding quantizes the de-embedded relaxed solution
     entrywise (sign rule, sign(0) = +1) and then runs a deterministic
     greedy sign-flip refinement of the frame MSE. The factor is recomputed
     as the conditional optimum for the final frame rather than read off the
@@ -249,12 +227,10 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
-    num_antennas, num_slots = h.shape[1], s.shape[1]
     relaxed = squid_relax(h_r, s_r, cfg, opts)
-    b = unstack_real(unvec(relaxed.b_real_vec, 2 * num_antennas, num_slots))
-    x_r = _greedy_sign_refine(stack_real(one_bit_quantize(b, cfg.transmit_power)),
-                              h_r, s_r, cfg.noise_var, cfg.quant_level)
-    x = x_r[:num_antennas] + 1j * x_r[num_antennas:]
+    x = one_bit_quantize(unstack_real(relaxed.b_real), cfg.transmit_power)
+    x = unstack_real(_greedy_sign_refine(stack_real(x), h_r, s_r,
+                                         cfg.noise_var, cfg.quant_level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     flags = () if relaxed.converged else ("squid_nonconverged",)
     return PrecodeResult(x=x, beta=beta, flags=flags)

@@ -206,10 +206,16 @@ def test_c5_modulation_comparison(modulation_bers):
     assert _report("C5 modulation comparison", ok, "; ".join(details))
 
 
-def test_c6_pilot_vs_blind(modulation_bers):
+@pytest.fixture(scope="module")
+def blind_bers():
+    """The blind 16-QAM squid sweep that criteria 6 and 7 both compare with."""
+    return _ber_sweep("16qam", ("squid",), "blind", EST_SNR_DB, 313)
+
+
+def test_c6_pilot_vs_blind(modulation_bers, blind_bers):
     """C6: one pilot slot and blind estimation give BER within a factor 2."""
     pilot = _ber_sweep("16qam", ("squid",), "pilot", EST_SNR_DB, 348)
-    blind = _ber_sweep("16qam", ("squid",), "blind", EST_SNR_DB, 313)
+    blind = blind_bers
     ratios = []
     for snr in EST_SNR_DB:
         a = pilot[("squid", snr)].ber
@@ -220,9 +226,9 @@ def test_c6_pilot_vs_blind(modulation_bers):
                    "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
-def test_c7_blind_vs_genie(modulation_bers):
+def test_c7_blind_vs_genie(modulation_bers, blind_bers):
     """C7: blind estimation over K=10 slots stays within 2x of genie-aided."""
-    blind = _ber_sweep("16qam", ("squid",), "blind", EST_SNR_DB, 313)
+    blind = blind_bers
     genie = _ber_sweep("16qam", ("squid",), "genie", EST_SNR_DB, 313)
     ratios = []
     for snr in EST_SNR_DB:

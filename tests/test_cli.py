@@ -148,6 +148,7 @@ class TestMain:
         ("", ["--precoder", "zfq,nope"], "unknown precoder 'nope'"),
         ("", ["--constellation", "5qam"], "unknown constellation '5qam'"),
         ("sdr.block_mode = false\n", [], "unknown key 'sdr.block_mode'"),
+        ("", ["--out", "missing_dir/x.csv"], "directory of 'missing_dir/x.csv' does not exist"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):
@@ -162,3 +163,6 @@ class TestMain:
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines()[-1].startswith("onebit-mimo: error: ")
         assert message in captured.err and "Traceback" not in captured.err
+        if file_text:
+            # an error in the file names the file and the line, here line 7
+            assert f"{cfg}:7: " in captured.err

@@ -88,7 +88,7 @@ class TestProjectPsd:
 
 class TestSolveSdp:
     def test_penalized_diagonal_driven_to_zero(self):
-        prob = SdpProblem(t=np.diag([1.0, 1.0, 0.0]), num_vec=2)
+        prob = SdpProblem(t=np.diag([1.0, 1.0, 0.0]))
         sol = solve_sdp(prob, tol=1e-8)
         assert sol.converged
         assert sol.objective == pytest.approx(0.0, abs=1e-6)

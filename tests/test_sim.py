@@ -155,12 +155,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             self._cfg(precoders=())
 
-    def test_bad_settings_rejected_at_construction(self):
+    def test_bad_settings_rejected_at_construction(self, tmp_path):
         # sweep would only meet these at a point's turn, after earlier trials
         for overrides in (dict(precoders=("zfq", "nope")),
                           dict(estimator="oracle"),
                           dict(estimator="pilot", num_slots=1),
-                          dict(num_bs_antennas=1)):
+                          dict(num_bs_antennas=1),
+                          dict(out=tmp_path / "missing" / "x.csv")):
             with pytest.raises(ValueError):
                 self._cfg(**overrides)
         with pytest.raises(KeyError):
