@@ -3,8 +3,8 @@
 Every setting is one option of :func:`build_parser`, and the option's
 ``dest`` is the setting's key in a flat ``key = value`` configuration file
 (``--config``). The file's values become the parser's defaults and the
-command line is parsed again, so file values are type-checked like flags and
-flags override the file, which overrides the defaults.
+command line is parsed again, so file values are type- and range-checked
+like flags and flags override the file, which overrides the defaults.
 
 Config file grammar: one ``key = value`` pair per line; blank lines and text
 after ``#`` are ignored. Keys are the long flag names with underscores
@@ -39,6 +39,16 @@ def name_list(text: str) -> tuple:
     return tuple(v.strip().lower() for v in text.split(",") if v.strip())
 
 
+def _at_least(low: int):
+    """An int option type that rejects values below ``low``."""
+    def convert(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    convert.__name__ = "int"  # argparse and the config reader name the type
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onebit-mimo",
@@ -48,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     add = parser.add_argument
     add("--config", type=str, default=None,
         help="key = value config file; CLI flags override it")
-    add("--bs-antennas", dest="bs_antennas", type=int, default=128)
-    add("--ues", type=int, default=16)
-    add("--slots", type=int, default=10)
+    add("--bs-antennas", dest="bs_antennas", type=_at_least(1), default=128)
+    add("--ues", type=_at_least(1), default=16)
+    add("--slots", type=_at_least(1), default=10)
     add("--snr-db", dest="snr_db", type=float_list,
         default=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0),
         help="comma separated SNR list in dB")
@@ -60,18 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma separated subset of {', '.join(PRECODER_IDS)}")
     add("--estimator", type=str.lower, default="blind",
         help=f"one of {', '.join(ESTIMATOR_IDS)}")
-    add("--trials", type=int, default=10, help="Monte-Carlo trials per point")
-    add("--seed", type=int, default=0, help="master seed")
+    add("--trials", type=_at_least(1), default=10, help="Monte-Carlo trials per point")
+    add("--seed", type=_at_least(0), default=0, help="master seed")
     add("--out", type=str, default="ber_results.csv", help="output CSV path")
-    add("--stop-after-errors", dest="stop_after_errors", type=int, default=0,
+    add("--stop-after-errors", dest="stop_after_errors", type=_at_least(0), default=0,
         help="stop a point early after this many bit errors (0 disables)")
-    add("--squid.max_iters", type=int, default=SquidOptions.max_iters,
+    add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
         help="SQUID iteration budget")
     add("--squid.rel_tol", type=float, default=SquidOptions.rel_tol,
         help="SQUID relative stopping tolerance")
     add("--sdr.tol", type=float, default=SdrOptions.tol,
         help="ADMM residual tolerance")
-    add("--sdr.max_iters", type=int, default=SdrOptions.max_iters,
+    add("--sdr.max_iters", type=_at_least(1), default=SdrOptions.max_iters,
         help="ADMM iteration budget per slot")
     return parser
 
@@ -98,6 +108,8 @@ def parse_config_file(path, parser: argparse.ArgumentParser | None = None) -> di
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             types[key](value)
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key}: invalid "
                              f"{types[key].__name__} value: {value!r}") from None

@@ -8,13 +8,15 @@ equal-magnitude constraints leaves the convex program
 
 which this module solves with an accelerated proximal-gradient method:
 gradient steps on the least-squares term, exact proximal steps on the
-squared-infinity-norm penalty, step size 1/L with L = 2 sigma_max(H_R)^2,
-the exact Lipschitz constant of the gradient (I_K kron H_R has the singular
-values of H_R). Only products with the per-slot embedded channel are needed;
-the block matrix I_K kron H_R is never formed. :func:`squid_precode` rounds
-the relaxed solution to the 1-bit set, refines the signs greedily for up to
-``REFINEMENT_ROUNDS`` rounds, and returns the frame with its conditionally
-optimal precoding factor.
+squared-infinity-norm penalty (a clip at a level found by Newton and
+Michelot steps, warm-started from the previous iteration's level), step
+size 1/L with L = 2 sigma_max(H_R)^2, the exact Lipschitz constant of the
+gradient (I_K kron H_R has the singular values of H_R). Each iteration
+takes one product with the per-slot embedded channel and one with its
+transpose; the block matrix I_K kron H_R is never formed.
+:func:`squid_precode` rounds the relaxed solution to the 1-bit set, refines
+the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and returns the
+frame with its conditionally optimal precoding factor.
 """
 
 from __future__ import annotations
@@ -61,31 +63,40 @@ class SquidResult:
     iterations: int
 
 
+def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
+    """Root t of phi(t) = sum_i max(m_i - t, 0) - 2 tau t for tau > 0.
+
+    phi is convex and decreasing, so one Newton step from any ``guess`` lands
+    at or below the root, keeping every entry above the root. Michelot steps
+    t = sum(active) / (2 tau + |active|) on that shrinking set reach the root
+    exactly, in few passes when ``guess`` is close to it.
+    """
+    mags = mags.ravel()  # compress selects faster than a boolean index
+    above = mags.compress(mags > guess)
+    active = mags.compress(mags >= above.sum() / (2.0 * tau + above.size))
+    while True:
+        t = active.sum() / (2.0 * tau + active.size)
+        keep = active >= t
+        if keep.all():
+            return float(t)
+        active = active.compress(keep)
+
+
 def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     """Proximal operator of tau * ||.||_inf^2.
 
     Returns the unique minimizer of tau ||x||_inf^2 + 0.5 ||x - v||^2. The
     solution clips v at magnitude t, where t >= 0 solves the stationarity
-    equation 2 tau t = sum_i max(|v_i| - t, 0). With magnitudes sorted
-    u_1 >= ... >= u_n, the active support size is k* = max{k : u_k > S_k /
-    (2 tau + k)} and t = S_{k*} / (2 tau + k*); for v = 0 (or tau = 0) the
-    answer is 0 (resp. v).
+    equation 2 tau t = sum_i max(|v_i| - t, 0) (:func:`_clip_level`); for
+    tau = 0 the answer is v.
     """
     v = np.asarray(v, dtype=float)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0 or v.size == 0:
         return v.copy()
-    mags = np.abs(v)
-    u = np.sort(mags)[::-1]
-    if u[0] == 0.0:
-        return np.zeros_like(v)
-    cumsum = np.cumsum(u)
-    counts = np.arange(1, u.size + 1)
-    thresholds = cumsum / (2.0 * tau + counts)
-    active = np.nonzero(u > thresholds)[0]
-    t = thresholds[active[-1]]  # active is never empty: u_1 > u_1/(2 tau + 1)
-    return np.sign(v) * np.minimum(mags, t)
+    t = _clip_level(np.abs(v), tau, 0.0)
+    return np.clip(v, -t, t)
 
 
 def estimate_gradient_lipschitz(h_r: np.ndarray) -> float:
@@ -121,40 +132,39 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     gamma = 1.0 / max(estimate_gradient_lipschitz(h_r), 1e-12)
     tau = gamma * penalty
 
-    def objective(b_mat, residual):
-        binf = float(np.max(np.abs(b_mat))) if b_mat.size else 0.0
-        return float(np.sum(residual * residual) + penalty * binf ** 2)
-
+    # the extrapolated point is affine in b_next and b, and so is its residual
+    step_t = (2.0 * gamma) * h_r.T
     b = np.zeros((2 * num_antennas, num_slots))
-    y = b
-    t_momentum = 1.0
-    f_cur = objective(b, (h_r @ b) - s_r)
+    y, resid, resid_y = b, -s_r, -s_r
+    t_momentum, level = 1.0, 0.0
+    f_cur = float(np.vdot(s_r, s_r))
     history = [f_cur]
     b_best, f_best = b, f_cur
     converged = False
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
-        resid_y = (h_r @ y) - s_r
-        grad = 2.0 * (h_r.T @ resid_y)
-        stepped = y - gamma * grad
-        b_next = prox_sq_inf(stepped.ravel(), tau).reshape(stepped.shape)
+        stepped = y - step_t @ resid_y
+        level = _clip_level(np.abs(stepped), tau, level)
+        b_next = np.clip(stepped, -level, level)  # its inf-norm is level
 
         resid_next = (h_r @ b_next) - s_r
-        f_next = objective(b_next, resid_next)
+        f_next = float(np.vdot(resid_next, resid_next)) + penalty * level ** 2
         history.append(f_next)
         if f_next < f_best:
             b_best, f_best = b_next, f_next
 
         if opts.momentum:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum ** 2))
-            y = b_next + ((t_momentum - 1.0) / t_new) * (b_next - b)
+            coef = (t_momentum - 1.0) / t_new
+            y = b_next + coef * (b_next - b)
+            resid_y = resid_next + coef * (resid_next - resid)
             t_momentum = t_new
         else:
-            y = b_next
+            y, resid_y = b_next, resid_next
 
         rel_change = abs(f_next - f_cur) / max(abs(f_cur), 1e-30)
-        b, f_cur = b_next, f_next
+        b, resid, f_cur = b_next, resid_next, f_next
         if rel_change < opts.rel_tol:
             converged = True
             break
@@ -175,16 +185,17 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     The least-squares minimizer of the relaxation is far from unique (the
     block channel has a huge nullspace) and one-shot sign rounding of any
     minimizer leaves a large gap to nearby sign patterns. Flipping one
-    entry of a slot changes the fitted column by a rank-one term, so the
-    objective change of every candidate flip costs one matrix-vector
-    product; the best strictly improving flip is applied until none is
-    left, re-optimizing the factor between rounds. Flips only ever lower
-    the objective, so all dominance properties against the exhaustive
-    optimum are preserved.
+    entry of a slot changes the fitted column by a rank-one term, so one
+    product with H_R^T prices every candidate flip of every slot. At a fixed
+    factor the slots are independent: each step applies every slot's best
+    strictly improving flip until no slot has one left, re-optimizing the
+    factor between rounds. Flips only ever lower the objective, so all
+    dominance properties against the exhaustive optimum are preserved.
     """
     num_ues2, _ = h_r.shape
     num_ues = num_ues2 // 2
     num_slots = s_r.shape[1]
+    slots = np.arange(num_slots)
     col_energy = np.sum(h_r * h_r, axis=0)
     x_r = x_r.copy()
 
@@ -197,19 +208,20 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
         beta = beta_for(x_r)
         if beta == 0.0:
             break
-        flipped = 0
-        for k in range(num_slots):
-            resid = s_r[:, k] - beta * (h_r @ x_r[:, k])
-            while True:
-                gain = 4.0 * beta * x_r[:, k] * (h_r.T @ resid) \
-                    + 4.0 * beta ** 2 * level ** 2 * col_energy
-                j = int(np.argmin(gain))
-                if gain[j] >= -1e-12:
-                    break
-                resid = resid + 2.0 * beta * x_r[j, k] * h_r[:, j]
-                x_r[j, k] = -x_r[j, k]
-                flipped += 1
-        if flipped == 0:
+        resid = s_r - beta * (h_r @ x_r)
+        flip_cost = (4.0 * beta ** 2 * level ** 2 * col_energy)[:, None]
+        flipped = False
+        while True:
+            gain = 4.0 * beta * x_r * (h_r.T @ resid) + flip_cost
+            rows = np.argmin(gain, axis=0)
+            cols = np.nonzero(gain[rows, slots] < -1e-12)[0]
+            if cols.size == 0:
+                break
+            rows = rows[cols]
+            resid[:, cols] += 2.0 * beta * x_r[rows, cols] * h_r[:, rows]
+            x_r[rows, cols] = -x_r[rows, cols]
+            flipped = True
+        if not flipped:
             break
     return x_r
 

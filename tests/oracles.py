@@ -87,6 +87,57 @@ def bisection_prox_sq_inf(v, tau, iters=200):
     return np.sign(v) * np.minimum(mags, t)
 
 
+def sorted_clip_level(mags, tau):
+    """Clip level of the prox of tau*||.||_inf^2 (tau > 0) by a full sort.
+
+    With magnitudes sorted u_1 >= ... >= u_n and prefix sums S_k, the active
+    support size is k* = max{k : u_k > S_k / (2 tau + k)} and the level is
+    S_{k*} / (2 tau + k*); it is 0 when every magnitude is 0.
+    """
+    u = np.sort(np.ravel(mags))[::-1]
+    if u.size == 0 or u[0] == 0.0:
+        return 0.0
+    thresholds = np.cumsum(u) / (2.0 * tau + np.arange(1, u.size + 1))
+    return float(thresholds[np.nonzero(u > thresholds)[0][-1]])
+
+
+def sequential_sign_refine(x_r, h_r, s_r, noise_var, level, rounds):
+    """Greedy sign refinement of the frame MSE, one slot and one flip at a time.
+
+    Each round fixes the factor beta, then for each slot in turn applies the
+    best strictly improving single flip until that slot has none left.
+    """
+    num_ues = h_r.shape[0] // 2
+    num_slots = s_r.shape[1]
+    col_energy = np.sum(h_r * h_r, axis=0)
+    x_r = x_r.copy()
+
+    def beta_for(frame_r):
+        fitted = h_r @ frame_r
+        den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
+        return max(0.0, float(np.sum(fitted * s_r)) / den)
+
+    for _ in range(rounds):
+        beta = beta_for(x_r)
+        if beta == 0.0:
+            break
+        flipped = 0
+        for k in range(num_slots):
+            resid = s_r[:, k] - beta * (h_r @ x_r[:, k])
+            while True:
+                gain = 4.0 * beta * x_r[:, k] * (h_r.T @ resid) \
+                    + 4.0 * beta ** 2 * level ** 2 * col_energy
+                j = int(np.argmin(gain))
+                if gain[j] >= -1e-12:
+                    break
+                resid = resid + 2.0 * beta * x_r[j, k] * h_r[:, j]
+                x_r[j, k] = -x_r[j, k]
+                flipped += 1
+        if flipped == 0:
+            break
+    return x_r
+
+
 def sq_inf_prox_objective(x, v, tau):
     x = np.asarray(x, dtype=float)
     return tau * np.max(np.abs(x), initial=0.0) ** 2 + 0.5 * np.sum((x - v) ** 2)

@@ -115,7 +115,7 @@ def test_c2_sdr_bound_and_tightness(small_instances):
 
 
 def test_c3_prox_against_bisection():
-    """C3: the sorting prox matches the bisection oracle to 1e-9."""
+    """C3: the prox matches the bisection oracle to 1e-9."""
     rng = np.random.default_rng(MASTER_SEED)
     worst = 0.0
     for _ in range(10_000):

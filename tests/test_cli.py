@@ -144,11 +144,13 @@ class TestMain:
 
     @pytest.mark.parametrize("file_text, argv, message", [
         ("trials = abc\n", [], "invalid int value: 'abc'"),
-        ("", ["--stop-after-errors", "-1"], "stop_after_errors must be >= 1"),
+        ("", ["--stop-after-errors", "-1"], "argument --stop-after-errors: must be >= 0, got -1"),
         ("", ["--precoder", "zfq,nope"], "unknown precoder 'nope'"),
         ("", ["--constellation", "5qam"], "unknown constellation '5qam'"),
         ("sdr.block_mode = false\n", [], "unknown key 'sdr.block_mode'"),
         ("", ["--out", "missing_dir/x.csv"], "directory of 'missing_dir/x.csv' does not exist"),
+        ("slots = 0\n", [], "slots: must be >= 1, got 0"),
+        ("trials = 0\n", [], "trials: must be >= 1, got 0"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

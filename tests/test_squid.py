@@ -19,10 +19,13 @@ from onebit_mimo import (
     squid_relax,
     stack_real,
 )
+from onebit_mimo.squid import REFINEMENT_ROUNDS, _clip_level, _greedy_sign_refine
 
 from oracles import (
     bisection_prox_sq_inf,
     grid_search_linf_sq_2d,
+    sequential_sign_refine,
+    sorted_clip_level,
     sq_inf_prox_objective,
 )
 
@@ -77,6 +80,48 @@ class TestObjective:
         assert res.objective == pytest.approx(
             self._relaxed_objective(res.b_real, h_r, s_r, cfg), rel=1e-12)
         assert res.objective == res.objective_history.min()
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    def test_no_drift_at_paper_size(self, momentum):
+        # the iteration derives the extrapolated point's residual from the
+        # residuals of its two iterates instead of multiplying by h_r again
+        cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=16.0)
+        h = gen_rayleigh_channel(16, 128, seed=60)
+        frame = SymbolFrame.random(get_constellation("16qam"), 16, 10, seed=61)
+        h_r, s_r = h.h_real, stack_real(frame.s)
+        res = squid_relax(h_r, s_r, cfg, SquidOptions(momentum=momentum))
+        assert res.iterations > 50
+        assert res.objective == pytest.approx(
+            self._relaxed_objective(res.b_real, h_r, s_r, cfg), rel=1e-10)
+
+
+class TestClipLevel:
+    """The warm-startable clip-level search behind the prox."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(21)
+        # paper scale, n = 2BK = 2560, from a wide active set to one entry
+        for tau in (98.5, 15.6, 2.5, 0.05):
+            yield rng.standard_normal(2560), tau
+        single = np.zeros(2560)
+        single[17] = -1.7
+        for tau in (0.01, 1.0, 100.0):
+            yield single, tau
+        tied = np.repeat([2.0, -2.0, 1.0, -0.5, 0.5], [5, 3, 4, 6, 2])
+        for tau in (0.1, 3.0, 6.0, 50.0):
+            yield tied, tau
+
+    def test_matches_sort_and_bisection_from_any_guess(self):
+        for v, tau in self._cases():
+            mags = np.abs(v)
+            root = sorted_clip_level(mags, tau)
+            bisected = float(np.max(np.abs(bisection_prox_sq_inf(v, tau))))
+            assert abs(bisected - root) <= 1e-12
+            # a guess above the root must not lose the entries between them
+            for guess in (0.0, 0.5 * root, root, 10.0 * root):
+                t = _clip_level(mags, tau, guess)
+                assert abs(t - root) <= 1e-12 and abs(t - bisected) <= 1e-12
 
 
 class TestProxSqInf:
@@ -202,6 +247,34 @@ class TestSquidRelax:
         h_r = rng.standard_normal((8, 12))
         lam = np.linalg.eigvalsh(h_r.T @ h_r)[-1]
         assert estimate_gradient_lipschitz(h_r) == pytest.approx(2 * lam, rel=1e-12)
+
+
+class TestSignRefine:
+    def test_slot_parallel_matches_sequential(self):
+        # at a fixed factor the slots are independent, so refining them all
+        # at once must give the per-slot oracle's frame exactly
+        flipped = 0
+        for num_antennas in (8, 16, 32):
+            for num_slots in (1, 3, 5):
+                for snr_db in (0.0, 12.0):
+                    for seed in range(3):
+                        num_ues = num_antennas // 4
+                        cfg = SystemConfig.from_snr_db(
+                            num_antennas, num_ues, num_slots, snr_db=snr_db)
+                        h_r = gen_rayleigh_channel(
+                            num_ues, num_antennas, seed=70 + seed).h_real
+                        s_r = stack_real(SymbolFrame.random(
+                            get_constellation("16qam"), num_ues, num_slots,
+                            seed=80 + seed).s)
+                        rng = np.random.default_rng(90 + seed)
+                        x_r = cfg.quant_level * rng.choice(
+                            [-1.0, 1.0], size=(2 * num_antennas, num_slots))
+                        args = (x_r, h_r, s_r, cfg.noise_var, cfg.quant_level)
+                        got = _greedy_sign_refine(*args)
+                        assert np.array_equal(
+                            got, sequential_sign_refine(*args, REFINEMENT_ROUNDS))
+                        flipped += int(np.sum(got != x_r))
+        assert flipped > 0
 
 
 class TestSquidPrecode:
