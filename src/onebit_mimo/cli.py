@@ -49,6 +49,16 @@ def _at_least(low: int):
     return convert
 
 
+def _positive(text: str) -> float:
+    """A float option type that rejects values <= 0 and nan."""
+    if not (value := float(text)) > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+_positive.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onebit-mimo",
@@ -77,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop a point early after this many bit errors (0 disables)")
     add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
         help="SQUID iteration budget")
-    add("--squid.rel_tol", type=float, default=SquidOptions.rel_tol,
+    add("--squid.rel_tol", type=_positive, default=SquidOptions.rel_tol,
         help="SQUID relative stopping tolerance")
-    add("--sdr.tol", type=float, default=SdrOptions.tol,
+    add("--sdr.tol", type=_positive, default=SdrOptions.tol,
         help="ADMM residual tolerance")
     add("--sdr.max_iters", type=_at_least(1), default=SdrOptions.max_iters,
         help="ADMM iteration budget per slot")

@@ -1,24 +1,27 @@
 """Constellation tables, Gray bit mappings, modulation and detection.
 
-Every set is normalized to unit average symbol energy (Es = 1). The bit
-labelings are fixed so that bit error rates are reproducible:
+Every set is normalized to unit average symbol energy (Es = 1) and stored in
+label order: ``points[c]`` is the point whose bit label is the integer ``c``,
+most significant bit first, so ``labels`` is the bit expansion of
+``0 .. M-1`` and modulation is a table lookup. The labelings are fixed so
+that bit error rates are reproducible:
 
-- ``qpsk``: points indexed by their 2-bit label (b0 b1); b0 selects the real
-  sign, b1 the imaginary sign, bit 0 -> +1. So 00 -> (1+1j)/sqrt(2),
-  01 -> (1-1j)/sqrt(2), 10 -> (-1+1j)/sqrt(2), 11 -> (-1-1j)/sqrt(2).
-- ``8psk`` / ``16psk``: point i = exp(2j pi i / M) indexed by angle; label of
-  point i is the binary-reflected Gray code i ^ (i >> 1), so circular
+- ``qpsk``: b0 selects the real sign, b1 the imaginary sign, bit 0 -> +1.
+  So 00 -> (1+1j)/sqrt(2), 01 -> (1-1j)/sqrt(2), 10 -> (-1+1j)/sqrt(2),
+  11 -> (-1-1j)/sqrt(2).
+- ``8psk`` / ``16psk``: label c sits at exp(2j pi i / M), where c = i ^ (i >> 1)
+  is the binary-reflected Gray code of the angle index i, so circular
   neighbors differ in exactly one bit.
 - ``16qam`` / ``64qam``: square grids with per-axis odd levels
-  {-(L-1), ..., L-1} scaled by 1/sqrt(10) resp. 1/sqrt(42). Points are
-  indexed by their bit label; the first half of the label Gray-codes the
-  in-phase level (ascending), the second half the quadrature level, so
-  horizontal/vertical neighbors differ in exactly one bit.
+  {-(L-1), ..., L-1} scaled by 1/sqrt(10) resp. 1/sqrt(42). The first half
+  of the label Gray-codes the in-phase level (ascending), the second half the
+  quadrature level, so horizontal/vertical neighbors differ in exactly one
+  bit.
 
-Detection is minimum-distance with ties broken toward the lowest point
-index, which makes it deterministic. For constant-modulus sets the decision
-is invariant to any positive scaling of the input, so those constellations
-never need an amplitude estimate at the receiver.
+Detection is minimum-distance with ties broken toward the lowest label, which
+makes it deterministic. For constant-modulus sets the decision is invariant
+to any positive scaling of the input, so those constellations never need an
+amplitude estimate at the receiver.
 """
 
 from __future__ import annotations
@@ -30,90 +33,56 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Constellation:
+    """A symbol set in label order: ``points[c]`` carries the bits ``labels[c]``,
+    which spell the integer ``c`` most significant bit first."""
+
     name: str
     points: np.ndarray          # complex, shape (M,)
-    labels: np.ndarray          # uint8, shape (M, m); labels[i] = bits of point i
-    code_to_index: np.ndarray   # int, shape (M,); inverse of the label map
-
-    @property
-    def size(self) -> int:
-        return self.points.size
+    labels: np.ndarray          # uint8, shape (M, m)
 
     @property
     def bits_per_symbol(self) -> int:
         return self.labels.shape[1]
 
-    @property
-    def is_constant_modulus(self) -> bool:
-        mags = np.abs(self.points)
-        return bool(mags.max() - mags.min() < 1e-12)
 
-    @property
-    def avg_energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
+def _labels(order: int) -> np.ndarray:
+    """Bit expansion of 0 .. order-1, most significant bit first."""
+    width = order.bit_length() - 1
+    codes = np.arange(order)[:, None]
+    return (codes >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8)
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - j)) & 1 for j in range(width)],
-                    dtype=np.uint8)
+def _inverse_gray(order: int) -> np.ndarray:
+    """Entry c is the i whose Gray code i ^ (i >> 1) is c: c ^ (c >> 1) ^ (c >> 2) ..."""
+    c = np.arange(order)
+    return np.bitwise_xor.reduce([c >> k for k in range(order.bit_length())])
 
 
-def _bits_to_int(bits: np.ndarray) -> np.ndarray:
-    width = bits.shape[-1]
-    weights = 1 << np.arange(width - 1, -1, -1)
-    return bits @ weights
+def _psk(order: int) -> Constellation:
+    angle_index = _inverse_gray(order)
+    points = np.exp(1j * (2.0 * np.pi * angle_index / order))
+    return Constellation(f"{order}psk", points, _labels(order))
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
+def _square(name: str, axis: np.ndarray) -> Constellation:
+    """Grid whose label (g_i, g_q) sits at axis[g_i] + j axis[g_q], Es = 1."""
+    scale = 1.0 / np.sqrt(2.0 * np.mean(axis ** 2))
+    points = scale * (axis[:, None] + 1j * axis).ravel()
+    return Constellation(name, points, _labels(axis.size ** 2))
 
 
-def _build_qpsk() -> Constellation:
-    scale = 1.0 / np.sqrt(2.0)
-    points = np.empty(4, dtype=complex)
-    labels = np.empty((4, 2), dtype=np.uint8)
-    for code in range(4):
-        b0, b1 = (code >> 1) & 1, code & 1
-        points[code] = scale * ((1 - 2 * b0) + 1j * (1 - 2 * b1))
-        labels[code] = (b0, b1)
-    return Constellation("qpsk", points, labels, np.arange(4))
-
-
-def _build_psk(order: int) -> Constellation:
-    m = int(np.log2(order))
-    angles = 2.0 * np.pi * np.arange(order) / order
-    points = np.exp(1j * angles)
-    labels = np.stack([_int_to_bits(_gray(i), m) for i in range(order)])
-    code_to_index = np.empty(order, dtype=int)
-    for i in range(order):
-        code_to_index[_gray(i)] = i
-    return Constellation(f"{order}psk", points, labels, code_to_index)
-
-
-def _build_square_qam(order: int) -> Constellation:
-    m = int(np.log2(order))
-    half = m // 2
-    levels_per_axis = 1 << half
-    levels = 2.0 * np.arange(levels_per_axis) - (levels_per_axis - 1)
-    scale = 1.0 / np.sqrt(2.0 * np.mean(levels ** 2))  # forces Es = 1
-    gray_inv = np.empty(levels_per_axis, dtype=int)
-    for lvl in range(levels_per_axis):
-        gray_inv[_gray(lvl)] = lvl
-    points = np.empty(order, dtype=complex)
-    labels = np.empty((order, m), dtype=np.uint8)
-    for code in range(order):
-        g_i, g_q = code >> half, code & (levels_per_axis - 1)
-        points[code] = scale * (levels[gray_inv[g_i]] + 1j * levels[gray_inv[g_q]])
-        labels[code] = _int_to_bits(code, m)
-    return Constellation(f"{order}qam", points, labels, np.arange(order))
+def _square_qam(order: int) -> Constellation:
+    per_axis = 1 << (order.bit_length() - 1) // 2
+    levels = 2.0 * np.arange(per_axis) - (per_axis - 1)
+    return _square(f"{order}qam", levels[_inverse_gray(per_axis)])
 
 
 _REGISTRY = {
-    "qpsk": _build_qpsk(),
-    "8psk": _build_psk(8),
-    "16psk": _build_psk(16),
-    "16qam": _build_square_qam(16),
-    "64qam": _build_square_qam(64),
+    "qpsk": _square("qpsk", np.array([1.0, -1.0])),
+    "8psk": _psk(8),
+    "16psk": _psk(16),
+    "16qam": _square_qam(16),
+    "64qam": _square_qam(64),
 }
 
 CONSTELLATION_IDS = tuple(_REGISTRY)
@@ -134,15 +103,15 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     m = c.bits_per_symbol
     if bits.size % m != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {m}")
-    codes = _bits_to_int(bits.reshape(-1, m))
-    return c.points[c.code_to_index[codes]]
+    return c.points[bits.reshape(-1, m) @ (1 << np.arange(m - 1, -1, -1))]
 
 
 def detect(shat, c: Constellation):
-    """Minimum-distance detection, ties to the lowest point index.
+    """Minimum-distance detection, ties to the lowest label.
 
-    Accepts a scalar or any-shape array; returns (point indices, bit labels)
-    where the labels gain a trailing axis of length bits_per_symbol.
+    Accepts a scalar or any-shape array; returns (label codes, bit labels),
+    where a label code indexes ``c.points`` and the bit labels gain a
+    trailing axis of length bits_per_symbol.
     """
     arr = np.asarray(shat, dtype=complex)
     re = arr.real[..., None] - c.points.real

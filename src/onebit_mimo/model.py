@@ -86,8 +86,13 @@ class SystemConfig:
     @classmethod
     def from_snr_db(cls, num_bs_antennas: int, num_ues: int, num_slots: int,
                     snr_db: float, transmit_power: float = 1.0) -> "SystemConfig":
-        """Fix P and derive N0 so that P/N0 matches the requested SNR."""
-        noise_var = transmit_power / (10.0 ** (snr_db / 10.0))
+        """Fix P and derive N0 = P / SNR; ValueError unless N0 is finite and > 0."""
+        try:
+            noise_var = transmit_power / (10.0 ** (snr_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            noise_var = math.nan
+        if transmit_power > 0 and not 0.0 < noise_var < math.inf:
+            raise ValueError(f"snr_db = {snr_db} dB gives no finite positive noise variance")
         return cls(num_bs_antennas, num_ues, num_slots,
                    noise_var=noise_var, transmit_power=transmit_power)
 
@@ -172,17 +177,6 @@ class ChannelMatrix:
     def h_real(self) -> np.ndarray:
         """Real embedding of H, computed on first use."""
         return real_embed(self.h)
-
-    @property
-    def num_ues(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def num_bs_antennas(self) -> int:
-        return self.h.shape[1]
-
-    def __repr__(self):
-        return f"ChannelMatrix(U={self.num_ues}, B={self.num_bs_antennas})"
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,6 @@ class SdpProblem:
 class SdpSolution:
     x: np.ndarray
     objective: float
-    primal_residual: float
-    dual_residual: float
     iterations: int
     converged: bool
     #: (iterations, 2) primal and dual residuals; :func:`solve_sdp` always
@@ -153,7 +151,6 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
     dual = np.zeros((n, n))
     history = []
     rho = 1.0
-    primal = dual_res = np.inf
     converged = False
     iterations = 0
 
@@ -182,8 +179,6 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
     return SdpSolution(
         x=z,
         objective=float(np.sum(t * z)),
-        primal_residual=primal,
-        dual_residual=dual_res,
         iterations=iterations,
         converged=converged,
         residual_history=np.asarray(history),

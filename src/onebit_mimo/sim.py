@@ -116,7 +116,7 @@ class SweepConfig:
     """A grid of SNR points x precoders at one system size and P = 1.
 
     Construction validates every setting, so a bad precoder id, estimator,
-    constellation or system size fails before any trial runs.
+    constellation, SNR or system size fails before any trial runs.
     """
 
     num_bs_antennas: int
@@ -149,8 +149,9 @@ class SweepConfig:
         if self.out is not None and not Path(self.out).parent.is_dir():
             raise ValueError(f"output directory of {str(self.out)!r} does not exist")
         get_constellation(self.constellation)
-        for precoder in self.precoders:
-            self.trial_config(self.snr_db[0], precoder)
+        for snr_db in self.snr_db:
+            for precoder in self.precoders:
+                self.trial_config(snr_db, precoder)
 
     def trial_config(self, snr_db: float, precoder: str) -> TrialConfig:
         """The configuration of every trial of one (SNR, precoder) point."""

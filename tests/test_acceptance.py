@@ -212,7 +212,7 @@ def blind_bers():
     return _ber_sweep("16qam", ("squid",), "blind", EST_SNR_DB, 313)
 
 
-def test_c6_pilot_vs_blind(modulation_bers, blind_bers):
+def test_c6_pilot_vs_blind(blind_bers):
     """C6: one pilot slot and blind estimation give BER within a factor 2."""
     pilot = _ber_sweep("16qam", ("squid",), "pilot", EST_SNR_DB, 348)
     blind = blind_bers
@@ -226,7 +226,7 @@ def test_c6_pilot_vs_blind(modulation_bers, blind_bers):
                    "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
-def test_c7_blind_vs_genie(modulation_bers, blind_bers):
+def test_c7_blind_vs_genie(blind_bers):
     """C7: blind estimation over K=10 slots stays within 2x of genie-aided."""
     blind = blind_bers
     genie = _ber_sweep("16qam", ("squid",), "genie", EST_SNR_DB, 313)

@@ -151,6 +151,11 @@ class TestMain:
         ("", ["--out", "missing_dir/x.csv"], "directory of 'missing_dir/x.csv' does not exist"),
         ("slots = 0\n", [], "slots: must be >= 1, got 0"),
         ("trials = 0\n", [], "trials: must be >= 1, got 0"),
+        ("", ["--snr-db=-inf"], "snr_db = -inf dB gives no finite positive noise"),
+        ("", ["--snr-db=4000"], "snr_db = 4000.0 dB gives no finite positive noise"),
+        ("squid.rel_tol = 0\n", [], "squid.rel_tol: must be > 0, got 0.0"),
+        ("sdr.tol = 0\n", [], "sdr.tol: must be > 0, got 0.0"),
+        ("sdr.tol = nan\n", [], "sdr.tol: must be > 0, got nan"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

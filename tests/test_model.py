@@ -37,6 +37,20 @@ class TestSystemConfig:
         assert cfg.transmit_power == 1.0
         assert cfg.snr_db == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("snr_db", [
+        -np.inf, np.inf, np.nan, -4000.0, 4000.0, -3085.0])
+    def test_from_snr_db_rejects_snr_without_finite_noise(self, snr_db):
+        # -inf and -4000 underflow the SNR to 0, inf and nan give N0 = 0 and
+        # nan, 4000 overflows 10 ** (snr_db / 10), and -3085 leaves a
+        # subnormal SNR whose inverse is inf
+        with pytest.raises(ValueError, match="snr_db"):
+            SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, -12.5, 0.0, 7.0, 3000.0])
+    def test_from_snr_db_noise_is_p_over_snr(self, snr_db):
+        cfg = SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db, transmit_power=2.0)
+        assert cfg.noise_var == 2.0 / (10.0 ** (snr_db / 10.0))
+
     def test_rejects_fewer_antennas_than_ues(self):
         with pytest.raises(ValueError):
             SystemConfig(2, 4, 1, noise_var=0.1)
@@ -67,7 +81,7 @@ class TestRayleighChannel:
         h = gen_rayleigh_channel(2, 4, seed=3)
         assert h.h.shape == (2, 4)
         assert h.h_real.shape == (4, 8)
-        assert h.num_ues == 2 and h.num_bs_antennas == 4
+        assert np.asarray(h).shape == (2, 4)
 
     def test_asarray_unwraps_the_matrix(self):
         h = gen_rayleigh_channel(3, 5, seed=4)

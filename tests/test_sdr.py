@@ -166,7 +166,6 @@ class TestExtractRankOne:
         bbar = 0.9 * level * signs  # 2BK entries with 1-bit-consistent signs
         lifted = np.concatenate([bbar, [1.0]])
         sol = SdpSolution(x=np.outer(lifted, lifted), objective=0.0,
-                          primal_residual=0.0, dual_residual=0.0,
                           iterations=1, converged=True)
         res = extract_rank_one(sol, frame.s, h, cfg)
         xbar = vec(stack_real(res.x))
@@ -183,7 +182,6 @@ class TestExtractRankOne:
 
         def solution(vv):
             return SdpSolution(x=np.outer(vv, vv), objective=0.0,
-                               primal_residual=0.0, dual_residual=0.0,
                                iterations=1, converged=True)
 
         plus = extract_rank_one(solution(v), frame.s, h, cfg)
@@ -212,8 +210,8 @@ class TestExtractRankOne:
         cfg = SystemConfig(1, 1, 1, noise_var=0.2)
         h = gen_rayleigh_channel(1, 1, seed=56)
         frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=57)
-        sol = SdpSolution(x=np.eye(3), objective=0.0, primal_residual=0.0,
-                          dual_residual=0.0, iterations=1, converged=True)
+        sol = SdpSolution(x=np.eye(3), objective=0.0, iterations=1,
+                          converged=True)
         res = extract_rank_one(sol, frame.s, h, cfg)
         assert "degenerate_eigenvector" in res.flags
 
