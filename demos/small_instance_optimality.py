@@ -22,11 +22,13 @@ from onebit_mimo import (
     gen_rayleigh_channel,
     get_constellation,
     linear_quantized_precode,
+    mrt_matrix,
     qp_objective,
+    real_embed,
     solve_sdp,
     squid_precode,
     stack_real,
-    vectorize_system,
+    zf_matrix,
 )
 
 cfg = SystemConfig.from_snr_db(num_bs_antennas=3, num_ues=2, num_slots=2,
@@ -46,9 +48,9 @@ for seed in range(8):
         return qp_objective(frame.s, h, result.x, result.beta, cfg.noise_var)
 
     _, _, best = brute_force_qp(frame.s, h, cfg)
-    hbar, sbar = vectorize_system(h.h_real, stack_real(frame.s))
     sol = solve_sdp(
-        assemble_T(hbar, sbar, cfg.num_ues, cfg.noise_var, cfg.transmit_power),
+        assemble_T(real_embed(h), stack_real(frame.s), cfg.num_ues,
+                   cfg.noise_var, cfg.transmit_power),
         tol=1e-8, max_iters=20000,
     )
     row = [
@@ -56,8 +58,8 @@ for seed in range(8):
         best,
         objective_of(extract_rank_one(sol, frame.s, h, cfg)),
         objective_of(squid_precode(frame.s, h, cfg)),
-        objective_of(linear_quantized_precode(frame.s, h, cfg, kind="zf")),
-        objective_of(linear_quantized_precode(frame.s, h, cfg, kind="mrt")),
+        objective_of(linear_quantized_precode(frame.s, h, cfg, zf_matrix)),
+        objective_of(linear_quantized_precode(frame.s, h, cfg, mrt_matrix)),
     ]
     print(f"{seed:>4} " + " ".join(f"{v:10.4f}" for v in row))
 

@@ -3,15 +3,15 @@
 Library layout:
 
 - :mod:`onebit_mimo.model` - system configuration, channel/noise generation,
-  real embedding, vectorization, the shared frame-MSE objective
+  real embedding, column-major vec/unvec, the shared frame-MSE objective
 - :mod:`onebit_mimo.constellations` - Gray-labeled constellation tables,
   modulation, minimum-distance detection
 - :mod:`onebit_mimo.linear` - ZF/MRT matrices, the 1-bit quantizer and the
   linear-quantized baseline
 - :mod:`onebit_mimo.squid` - squared-infinity-norm convex relaxation solved
   by accelerated proximal gradient
-- :mod:`onebit_mimo.sdr` - semidefinite relaxation with a built-in ADMM
-  solver and rank-one extraction
+- :mod:`onebit_mimo.sdr` - semidefinite relaxation: the K-slot lift, a
+  built-in ADMM solver and rank-one extraction
 - :mod:`onebit_mimo.gain_estimation` - genie / pilot / blind estimation of
   the precoding factor at all UEs at once
 - :mod:`onebit_mimo.sim` - the precoder registry, Monte-Carlo BER sweeps,
@@ -52,7 +52,6 @@ from .model import (
     unstack_real,
     unvec,
     vec,
-    vectorize_system,
 )
 from .sdr import (
     SdpProblem,

@@ -1,7 +1,8 @@
 """Infinite-resolution linear precoders and the linear-quantized baseline.
 
-Linear-quantized precoding runs a classical linear precoder (ZF or MRT) and
-pushes each antenna output through the 1-bit DACs:
+Linear-quantized precoding runs a classical linear precoder P (ZF or MRT,
+picked by ``sim.PRECODERS``) and pushes each antenna output through the
+1-bit DACs:
 
     x[k] = sqrt(P/(2B)) * (sign(Re{P s[k]}) + j sign(Im{P s[k]})).
 
@@ -48,23 +49,16 @@ def one_bit_quantize(z: np.ndarray, transmit_power: float) -> np.ndarray:
 
 
 def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
-                             kind: str = "zf") -> PrecodeResult:
-    """Linear precoding followed by 1-bit quantization, slot by slot.
+                             matrix) -> PrecodeResult:
+    """Linear precoding with P = matrix(H), then 1-bit quantization.
 
-    The precoding factor is the MSE-optimal receiver-side scaling for the
-    quantized frame, which makes this baseline comparable to the nonlinear
-    precoders under the common objective.
+    Works slot by slot. The precoding factor is the MSE-optimal receiver-side
+    scaling for the quantized frame, which makes this baseline comparable to
+    the nonlinear precoders under the common objective.
     """
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    kind = kind.lower()
-    if kind == "zf":
-        p = zf_matrix(h)
-    elif kind == "mrt":
-        p = mrt_matrix(h)
-    else:
-        raise ValueError(f"unknown linear precoder kind {kind!r}")
-    x = one_bit_quantize(p @ s, cfg.transmit_power)
+    x = one_bit_quantize(matrix(h) @ s, cfg.transmit_power)
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     return PrecodeResult(x=x, beta=beta)
 

@@ -2,7 +2,8 @@
 
 Holds the domain types (system configuration, the drawn channel, symbol
 frame, precoder output), channel/noise generation, the real-valued embedding
-of complex matrices, Kronecker vectorization, and the shared mean-square-error
+of complex matrices, column-major vectorization (the K-slot block lift is
+in :func:`onebit_mimo.sdr.assemble_T`), and the shared mean-square-error
 objective that every precoder (and the exhaustive oracle) minimizes.
 
 Every function that takes a channel accepts anything ``np.asarray`` turns
@@ -64,19 +65,15 @@ class SystemConfig:
                 f"need at least as many BS antennas as UEs, got "
                 f"B={self.num_bs_antennas} < U={self.num_ues}"
             )
-        if not (self.transmit_power > 0):
-            raise ValueError("transmit_power must be > 0")
-        if not (self.noise_var > 0):
-            raise ValueError("noise_var must be > 0")
-
-    @property
-    def snr(self) -> float:
-        """Operating SNR rho = P / N0 (dimensionless)."""
-        return self.transmit_power / self.noise_var
+        if not 0.0 < self.transmit_power < math.inf:
+            raise ValueError("transmit_power must be finite and > 0")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError("noise_var must be finite and > 0")
 
     @property
     def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
+        """Operating SNR 10 log10(P / N0)."""
+        return 10.0 * math.log10(self.transmit_power / self.noise_var)
 
     @property
     def quant_level(self) -> float:
@@ -91,7 +88,7 @@ class SystemConfig:
             noise_var = transmit_power / (10.0 ** (snr_db / 10.0))
         except (OverflowError, ZeroDivisionError):
             noise_var = math.nan
-        if transmit_power > 0 and not 0.0 < noise_var < math.inf:
+        if 0.0 < transmit_power < math.inf and not 0.0 < noise_var < math.inf:
             raise ValueError(f"snr_db = {snr_db} dB gives no finite positive noise variance")
         return cls(num_bs_antennas, num_ues, num_slots,
                    noise_var=noise_var, transmit_power=transmit_power)
@@ -140,21 +137,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
-
-
-def vectorize_system(h_r: np.ndarray, s_r: np.ndarray):
-    """Lift the per-slot real model to one block system over all K slots.
-
-    Returns (I_K kron h_r, vec(s_r)); for any B_R the Frobenius residual of
-    the matrix form equals the l2 residual of the vectorized form.
-    """
-    h_r = np.asarray(h_r, dtype=float)
-    s_r = np.asarray(s_r, dtype=float)
-    if h_r.shape[0] != s_r.shape[0]:
-        raise ValueError("row dimensions of h_r and s_r must agree")
-    k = s_r.shape[1]
-    hbar_r = np.kron(np.eye(k), h_r)
-    return hbar_r, vec(s_r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Semidefinite relaxation of the 1-bit precoding problem.
 
-The vectorized real problem is lifted with the homogenization
+:func:`assemble_T` stacks the K slots of the real problem into one block
+system (I_K kron H_R, vec(S_R)) and lifts it with the homogenization
 [b^T 1]^T [b^T 1]: minimizing the quadratic form becomes minimizing
 tr(T X) over PSD matrices whose first 2BK diagonal entries are tied
 together (all |b_i| share one magnitude) and whose last diagonal entry is
@@ -10,9 +11,8 @@ onto the PSD cone; a 1-bit frame is then extracted by sign-quantizing the
 leading eigenvector.
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
-configuration. The joint K-slot SDP (dimension 2BK+1) is the composition
-``vectorize_system`` -> :func:`assemble_T` -> :func:`solve_sdp` ->
-:func:`extract_rank_one`.
+configuration. The joint K-slot SDP (dimension 2BK+1) is :func:`assemble_T`
+on the whole (2U x K) frame -> :func:`solve_sdp` -> :func:`extract_rank_one`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .model import (
     stack_real,
     unstack_real,
     unvec,
+    vec,
 )
 
 
@@ -49,7 +50,7 @@ class SdrOptions:
 class SdpProblem:
     """Cost matrix of the lifted program.
 
-    Constraints: X[b,b] = X[0,0] for b < num_vec, X[-1,-1] = 1, X PSD.
+    Constraints: X[b,b] = X[0,0] for b < dim - 1, X[-1,-1] = 1, X PSD.
     """
 
     t: np.ndarray
@@ -57,11 +58,6 @@ class SdpProblem:
     @property
     def dim(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def num_vec(self) -> int:
-        """Size of the tied-diagonal block: every entry but the last."""
-        return self.dim - 1
 
 
 @dataclass(frozen=True)
@@ -75,16 +71,20 @@ class SdpSolution:
     residual_history: np.ndarray | None = None
 
 
-def assemble_T(hbar_r: np.ndarray, sbar_r: np.ndarray, num_ues: int,
+def assemble_T(h_r: np.ndarray, s_r: np.ndarray, num_ues: int,
                noise_var: float, transmit_power: float) -> SdpProblem:
-    """Build the (2BK+1)-dimensional cost matrix of the lifted program.
+    """Cost matrix of the program lifted to Hbar = I_K kron h_r, sbar = vec(s_r).
 
-    For every b: [b^T 1] T [b^T 1]^T = ||sbar - Hbar b||^2 + (U N0/P)||b||^2.
+    ``h_r`` is the embedded channel (2U x 2B) and ``s_r`` the stacked frame,
+    (2U,) for one slot or (2U, K). T has dimension 2BK+1, and for every b:
+    [b^T 1] T [b^T 1]^T = ||sbar - Hbar b||^2 + (U N0/P)||b||^2.
     """
-    hbar_r = np.asarray(hbar_r, dtype=float)
-    sbar_r = np.asarray(sbar_r, dtype=float).ravel()
+    s_r = np.asarray(s_r, dtype=float)
+    num_slots = s_r.shape[1] if s_r.ndim == 2 else 1
+    hbar_r = np.kron(np.eye(num_slots), np.asarray(h_r, dtype=float))
+    sbar_r = vec(s_r)
     if hbar_r.shape[0] != sbar_r.size:
-        raise ValueError("hbar_r and sbar_r dimensions disagree")
+        raise ValueError("h_r and s_r row dimensions disagree")
     n_vec = hbar_r.shape[1]
     gram = hbar_r.T @ hbar_r + (num_ues * noise_var / transmit_power) * np.eye(n_vec)
     cross = hbar_r.T @ sbar_r
@@ -144,8 +144,8 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
     runs out; z is PSD by construction either way.
     """
     t = problem.t
-    n_vec = problem.num_vec
     n = problem.dim
+    n_vec = n - 1
     z = np.zeros((n, n))
     z[n_vec, n_vec] = 1.0
     dual = np.zeros((n, n))
@@ -199,10 +199,8 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
     eigvals, eigvecs = np.linalg.eigh(sol.x)
     leading = eigvecs[:, -1]
     flags = []
-    if eigvals.size > 1:
-        gap = eigvals[-1] - eigvals[-2]
-        if gap <= 1e-10 * max(abs(eigvals[-1]), 1.0):
-            flags.append("degenerate_eigenvector")
+    if eigvals[-1] - eigvals[-2] <= 1e-10 * max(abs(eigvals[-1]), 1.0):
+        flags.append("degenerate_eigenvector")
     if leading[-1] < 0:
         leading = -leading
 
@@ -218,14 +216,13 @@ def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> P
 
 
 def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
-                opts: SdrOptions | None = None) -> PrecodeResult:
+                opts: SdrOptions = SdrOptions()) -> PrecodeResult:
     """End-to-end SDR precoding.
 
     Solves K independent single-slot SDPs (dimension 2B+1 each) and
     concatenates the rounded slots; the returned factor is the conditional
     optimum for the full rounded frame.
     """
-    opts = opts or SdrOptions()
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)

@@ -21,12 +21,14 @@ bits_total,bit_errors,ber,clamp_flags
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import linear
 from .constellations import detect, get_constellation
 from .gain_estimation import blind_estimate, genie_estimate, pilot_mle
 from .linear import linear_quantized_precode
@@ -47,11 +49,11 @@ from .sdr import SdrOptions, sdr_precode
 from .squid import SquidOptions, squid_precode
 
 #: precoder id -> (frame, channel, trial config) -> PrecodeResult; each entry
-#: looks its precoder up by name when called, so rebinding the module
-#: attribute (as a tracer does) takes effect
+#: looks its precoder and linear matrix up by name when called, so rebinding
+#: the module attribute (as a tracer does) takes effect
 PRECODERS = {
-    "zfq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, kind="zf"),
-    "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, kind="mrt"),
+    "zfq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.zf_matrix),
+    "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.mrt_matrix),
     "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system, cfg.squid),
     "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system, cfg.sdr),
     "bruteforce": lambda s, h, cfg: PrecodeResult(*brute_force_qp(s, h, cfg.system)[:2]),
@@ -87,8 +89,8 @@ class TrialConfig:
     constellation: str = "qpsk"
     precoder: str = "squid"
     estimator: str = "blind"
-    squid: SquidOptions | None = None
-    sdr: SdrOptions | None = None
+    squid: SquidOptions = SquidOptions()
+    sdr: SdrOptions = SdrOptions()
 
     def __post_init__(self):
         if self.precoder not in PRECODER_IDS:
@@ -130,8 +132,8 @@ class SweepConfig:
     seed: int
     out: str | Path | None = None
     stop_after_errors: int | None = None
-    squid: SquidOptions | None = None
-    sdr: SdrOptions | None = None
+    squid: SquidOptions = SquidOptions()
+    sdr: SdrOptions = SdrOptions()
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
@@ -325,44 +327,46 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
 # ---------------------------------------------------------------------------
 
 def sweep(cfg: SweepConfig) -> list:
-    """Run the Monte-Carlo sweep and (optionally) write the CSV.
+    """Run the Monte-Carlo sweep, writing the CSV to ``out`` if it is set.
 
     Iterates SNR points x precoders, aggregating ``trials`` seeded trials
     per point; per-trial seeds come from :func:`trial_seed_for`, so a rerun
-    with the same configuration produces byte-identical CSV output. A trial
-    whose precoder raises is counted in ``failures`` rather than dropped
-    silently. With ``stop_after_errors`` set, a point stops accumulating
-    trials once that many bit errors have been seen (opt-in, off by
-    default).
+    with the same configuration produces byte-identical CSV output. Each
+    point's row is flushed when the point finishes, so an interrupted sweep
+    keeps its finished points. A trial whose precoder raises is counted in
+    ``failures`` rather than dropped silently. With ``stop_after_errors``
+    set, a point stops accumulating trials once that many bit errors have
+    been seen (opt-in, off by default).
     """
     records = []
-    for point_index, snr_db in enumerate(cfg.snr_db):
-        for precoder in cfg.precoders:
-            tcfg = cfg.trial_config(snr_db, precoder)
-            t0 = time.perf_counter()
-            errors = bits = clamps = flags = failures = done = 0
-            for trial_index in range(cfg.trials):
-                seed = trial_seed_for(cfg.seed, point_index, trial_index)
-                try:
-                    res = run_trial(tcfg, seed)
-                except (np.linalg.LinAlgError, ValueError):
-                    failures += 1
+    with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
+        print(CSV_HEADER, file=out, flush=True)
+        for point_index, snr_db in enumerate(cfg.snr_db):
+            for precoder in cfg.precoders:
+                tcfg = cfg.trial_config(snr_db, precoder)
+                t0 = time.perf_counter()
+                errors = bits = clamps = flags = failures = done = 0
+                for trial_index in range(cfg.trials):
+                    seed = trial_seed_for(cfg.seed, point_index, trial_index)
+                    try:
+                        res = run_trial(tcfg, seed)
+                    except (np.linalg.LinAlgError, ValueError):
+                        failures += 1
+                        done += 1
+                        continue
+                    errors += int(res.bit_errors.sum())
+                    bits += res.bits_total
+                    clamps += res.clamp_flags
+                    flags += res.precoder_flags
                     done += 1
-                    continue
-                errors += int(res.bit_errors.sum())
-                bits += res.bits_total
-                clamps += res.clamp_flags
-                flags += res.precoder_flags
-                done += 1
-                if cfg.stop_after_errors is not None and errors >= cfg.stop_after_errors:
-                    break
-            records.append(BerRecord(
-                snr_db=snr_db, precoder=precoder,
-                constellation=cfg.constellation, estimator=cfg.estimator,
-                bit_errors=errors, bits_total=bits, trials=done,
-                clamp_flags=clamps, wall_time=time.perf_counter() - t0,
-                failures=failures, precoder_flags=flags,
-            ))
-    if cfg.out is not None:
-        Path(cfg.out).write_text(records_to_csv(records), encoding="ascii")
+                    if cfg.stop_after_errors is not None and errors >= cfg.stop_after_errors:
+                        break
+                records.append(BerRecord(
+                    snr_db=snr_db, precoder=precoder,
+                    constellation=cfg.constellation, estimator=cfg.estimator,
+                    bit_errors=errors, bits_total=bits, trials=done,
+                    clamp_flags=clamps, wall_time=time.perf_counter() - t0,
+                    failures=failures, precoder_flags=flags,
+                ))
+                print(records[-1].csv_row(), file=out, flush=True)
     return records

@@ -106,7 +106,7 @@ def estimate_gradient_lipschitz(h_r: np.ndarray) -> float:
 
 
 def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
-                opts: SquidOptions | None = None) -> SquidResult:
+                opts: SquidOptions = SquidOptions()) -> SquidResult:
     """Solve the relaxed problem; returns the best iterate found.
 
     Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
@@ -117,7 +117,6 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     ``rel_tol`` or ``max_iters`` is reached. The returned objective never
     exceeds the objective at b = 0 (the starting point).
     """
-    opts = opts or SquidOptions()
     if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
         raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
     h_r = np.asarray(h_r, dtype=float)
@@ -227,7 +226,7 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
 
 
 def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
-                  opts: SquidOptions | None = None) -> PrecodeResult:
+                  opts: SquidOptions = SquidOptions()) -> PrecodeResult:
     """Relax, round to the 1-bit transmit set, recover the precoding factor.
 
     Rounding quantizes the de-embedded relaxed solution

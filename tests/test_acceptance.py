@@ -30,13 +30,14 @@ from onebit_mimo import (
     linear_quantized_precode,
     prox_sq_inf,
     qp_objective,
+    real_embed,
     sdr_precode,
     solve_sdp,
     squid_precode,
     squid_relax,
     stack_real,
     sweep,
-    vectorize_system,
+    zf_matrix,
 )
 
 from oracles import bisection_prox_sq_inf
@@ -80,7 +81,7 @@ def test_c1_oracle_optimality(small_instances):
     for cfg, h, frame in small_instances:
         _, _, best = brute_force_qp(frame.s, h, cfg)
         for result in (
-            linear_quantized_precode(frame.s, h, cfg, kind="zf"),
+            linear_quantized_precode(frame.s, h, cfg, zf_matrix),
             squid_precode(frame.s, h, cfg),
             sdr_precode(frame.s, h, cfg),
         ):
@@ -99,9 +100,8 @@ def test_c2_sdr_bound_and_tightness(small_instances):
     tight = 0
     for cfg, h, frame in small_instances:
         _, _, best = brute_force_qp(frame.s, h, cfg)
-        hbar, sbar = vectorize_system(h.h_real, stack_real(frame.s))
-        problem = assemble_T(hbar, sbar, cfg.num_ues, cfg.noise_var,
-                             cfg.transmit_power)
+        problem = assemble_T(real_embed(h), stack_real(frame.s), cfg.num_ues,
+                             cfg.noise_var, cfg.transmit_power)
         sol = solve_sdp(problem, tol=1e-9, max_iters=100_000)
         if sol.objective <= best + 1e-6:
             bound_ok += 1
@@ -114,6 +114,7 @@ def test_c2_sdr_bound_and_tightness(small_instances):
                    ok, f"bound {bound_ok}/100, within 5%: {tight}/100")
 
 
+@pytest.mark.slow
 def test_c3_prox_against_bisection():
     """C3: the prox matches the bisection oracle to 1e-9."""
     rng = np.random.default_rng(MASTER_SEED)
@@ -137,7 +138,7 @@ def test_c4_objective_descent_without_momentum():
     for seed in range(100):
         h = gen_rayleigh_channel(16, 128, seed=20_000 + seed)
         frame = SymbolFrame.random(qpsk, 16, 10, seed=30_000 + seed)
-        res = squid_relax(h.h_real, stack_real(frame.s), cfg, opts)
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg, opts)
         history = res.objective_history
         rises = np.diff(history) / max(history[0], 1.0)
         worst_rise = max(worst_rise, float(rises.max()))
@@ -174,6 +175,7 @@ def modulation_bers():
     return out
 
 
+@pytest.mark.slow
 def test_c5_modulation_comparison(modulation_bers):
     """C5: nonlinear beats quantized ZF; ZF floors on 16-QAM, squid does not;
     16-QAM beats 16-PSK at the top SNR."""
@@ -212,6 +214,7 @@ def blind_bers():
     return _ber_sweep("16qam", ("squid",), "blind", EST_SNR_DB, 313)
 
 
+@pytest.mark.slow
 def test_c6_pilot_vs_blind(blind_bers):
     """C6: one pilot slot and blind estimation give BER within a factor 2."""
     pilot = _ber_sweep("16qam", ("squid",), "pilot", EST_SNR_DB, 348)
@@ -226,6 +229,7 @@ def test_c6_pilot_vs_blind(blind_bers):
                    "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
+@pytest.mark.slow
 def test_c7_blind_vs_genie(blind_bers):
     """C7: blind estimation over K=10 slots stays within 2x of genie-aided."""
     blind = blind_bers

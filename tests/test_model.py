@@ -8,6 +8,7 @@ from onebit_mimo import (
     SymbolFrame,
     SystemConfig,
     apply_channel,
+    assemble_T,
     gen_awgn,
     gen_rayleigh_channel,
     get_constellation,
@@ -20,7 +21,6 @@ from onebit_mimo import (
     unstack_real,
     unvec,
     vec,
-    vectorize_system,
 )
 
 from oracles import grid_search_beta, mse_objective_termwise, naive_matmul
@@ -29,7 +29,6 @@ from oracles import grid_search_beta, mse_objective_termwise, naive_matmul
 class TestSystemConfig:
     def test_snr_consistency(self):
         cfg = SystemConfig(4, 2, 3, noise_var=0.25, transmit_power=1.0)
-        assert cfg.snr == pytest.approx(4.0)
         assert cfg.snr_db == pytest.approx(10 * np.log10(4.0))
 
     def test_from_snr_db_fixes_power(self):
@@ -46,6 +45,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="snr_db"):
             SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db)
 
+    def test_from_snr_db_names_infinite_power(self):
+        # P = inf also makes N0 infinite; the error must blame P, not the SNR
+        with pytest.raises(ValueError, match="transmit_power"):
+            SystemConfig.from_snr_db(8, 2, 1, snr_db=5.0, transmit_power=np.inf)
+
     @pytest.mark.parametrize("snr_db", [-3000.0, -12.5, 0.0, 7.0, 3000.0])
     def test_from_snr_db_noise_is_p_over_snr(self, snr_db):
         cfg = SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db, transmit_power=2.0)
@@ -61,6 +65,9 @@ class TestSystemConfig:
         dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=0.0),
         dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=0.1,
              transmit_power=-1.0),
+        dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=np.inf),
+        dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=0.1,
+             transmit_power=np.inf),
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -80,14 +87,14 @@ class TestRayleighChannel:
     def test_shape(self):
         h = gen_rayleigh_channel(2, 4, seed=3)
         assert h.h.shape == (2, 4)
-        assert h.h_real.shape == (4, 8)
+        assert real_embed(h).shape == (4, 8)
         assert np.asarray(h).shape == (2, 4)
 
     def test_asarray_unwraps_the_matrix(self):
         h = gen_rayleigh_channel(3, 5, seed=4)
         assert np.asarray(h, dtype=complex) is h.h
         assert np.array_equal(np.asarray(h), h.h)
-        assert np.array_equal(h.h_real, real_embed(h.h))
+        assert np.array_equal(real_embed(h), real_embed(h.h))
 
 
 class TestSymbolFrame:
@@ -173,29 +180,39 @@ class TestRealEmbedding:
 
 
 class TestVectorization:
+    """assemble_T's lift of K slots to I_K kron h_r and vec(s_r)."""
+
     def test_single_slot_is_identity(self):
-        h_r = np.arange(4.0).reshape(2, 2)
-        hbar, sbar = vectorize_system(h_r, np.array([[1.0], [2.0]]))
-        assert np.array_equal(hbar, h_r)
-        assert np.array_equal(sbar, [1.0, 2.0])
+        rng = np.random.default_rng(8)
+        h_r = rng.standard_normal((4, 6))
+        s_r = rng.standard_normal((4, 3))
+        column = assemble_T(h_r, s_r[:, :1], 2, 0.3, 1.0)
+        vector = assemble_T(h_r, s_r[:, 0], 2, 0.3, 1.0)
+        assert np.array_equal(column.t, vector.t)
 
     def test_two_slots_block_diagonal(self):
         h_r = np.array([[1.0, 2.0], [3.0, 4.0]])
-        hbar, _ = vectorize_system(h_r, np.ones((2, 2)))
-        assert hbar.shape == (4, 4)
-        assert np.array_equal(hbar[:2, :2], h_r)
-        assert np.array_equal(hbar[2:, 2:], h_r)
-        assert np.array_equal(hbar[:2, 2:], np.zeros((2, 2)))
+        s_r = np.array([[1.0, -1.0], [2.0, 0.5]])
+        one = assemble_T(h_r, s_r[:, 0], 1, 0.5, 2.0).t[:2, :2]
+        gram = assemble_T(h_r, s_r, 1, 0.5, 2.0).t[:4, :4]
+        assert np.array_equal(gram[:2, :2], one)
+        assert np.array_equal(gram[2:, 2:], one)
+        assert np.array_equal(gram[:2, 2:], np.zeros((2, 2)))
+        assert np.array_equal(gram[2:, :2], np.zeros((2, 2)))
 
     def test_frobenius_l2_identity(self):
+        # [vec(B); 1]^T T [vec(B); 1] = ||S - H B||_F^2 + (U N0/P)||B||_F^2
         rng = np.random.default_rng(9)
         h_r = rng.standard_normal((4, 6))
         s_r = rng.standard_normal((4, 3))
         b_r = rng.standard_normal((6, 3))
-        hbar, sbar = vectorize_system(h_r, s_r)
-        lhs = np.linalg.norm(s_r - h_r @ b_r)
-        rhs = np.linalg.norm(sbar - hbar @ vec(b_r))
-        assert abs(lhs - rhs) < 1e-12
+        problem = assemble_T(h_r, s_r, 2, 0.3, 1.5)
+        lifted = np.append(vec(b_r), 1.0)
+        lhs = lifted @ problem.t @ lifted
+        rhs = (np.linalg.norm(s_r - h_r @ b_r) ** 2
+               + (2 * 0.3 / 1.5) * np.linalg.norm(b_r) ** 2)
+        assert problem.dim == 6 * 3 + 1
+        assert abs(lhs - rhs) < 1e-12 * rhs
 
     def test_vec_unvec_roundtrip_column_major(self):
         m = np.arange(6.0).reshape(2, 3)
@@ -287,11 +304,10 @@ class TestFrameInvariants:
         s = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         beta = 0.8
         eq5 = qp_objective(s, h, x, beta, cfg.noise_var)
-        hbar, sbar = vectorize_system(h.h_real, stack_real(s))
-        bbar = vec(stack_real(beta * x))
-        penalty = cfg.num_ues * cfg.noise_var / cfg.transmit_power
-        eq8 = (np.linalg.norm(sbar - hbar @ bbar) ** 2
-               + penalty * np.linalg.norm(bbar) ** 2)
+        problem = assemble_T(real_embed(h), stack_real(s), cfg.num_ues,
+                             cfg.noise_var, cfg.transmit_power)
+        lifted = np.append(vec(stack_real(beta * x)), 1.0)
+        eq8 = lifted @ problem.t @ lifted
         assert abs(eq5 - eq8) < 1e-10
 
     def test_real_vec_roundtrip(self):

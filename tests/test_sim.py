@@ -19,6 +19,7 @@ from onebit_mimo import (
     sweep,
     trial_seed_for,
 )
+from onebit_mimo import sim
 from onebit_mimo.sim import CSV_HEADER, draw_trial_data
 
 from oracles import enumerate_qp
@@ -180,6 +181,24 @@ class TestSweep:
         sweep(self._cfg(out=out1))
         sweep(self._cfg(out=out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_interrupt_keeps_finished_points(self, tmp_path, monkeypatch):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        sweep(self._cfg(precoders=("zfq",), out=full))
+        finished = b"".join(full.read_bytes().splitlines(keepends=True)[:2])
+        calls = []
+        uninterrupted = sim.run_trial
+
+        def interrupt_in_point_1(tcfg, seed):
+            calls.append(seed)
+            if len(calls) == 3 + 2:  # point 1's second trial (3 per point)
+                raise KeyboardInterrupt
+            return uninterrupted(tcfg, seed)
+
+        monkeypatch.setattr(sim, "run_trial", interrupt_in_point_1)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(self._cfg(precoders=("zfq",), out=cut))
+        assert cut.read_bytes() == finished  # the header and point 0's row
 
     def test_csv_schema(self):
         records = sweep(self._cfg(trials=2))

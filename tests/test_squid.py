@@ -18,6 +18,7 @@ from onebit_mimo import (
     squid_precode,
     squid_relax,
     stack_real,
+    zf_matrix,
 )
 from onebit_mimo.squid import REFINEMENT_ROUNDS, _clip_level, _greedy_sign_refine
 
@@ -47,7 +48,7 @@ class TestObjective:
         cfg = SystemConfig(3, 2, 1, noise_var=0.5)
         h = gen_rayleigh_channel(2, 3, seed=0)
         frame = SymbolFrame.random(get_constellation("16qam"), 2, 1, seed=1)
-        res = squid_relax(h.h_real, stack_real(frame.s), cfg)
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg)
         assert res.objective_history[0] == pytest.approx(
             np.sum(np.abs(frame.s) ** 2), rel=1e-12)
 
@@ -75,7 +76,7 @@ class TestObjective:
         cfg = SystemConfig.from_snr_db(6, 2, 3, snr_db=3.0, transmit_power=1.5)
         h = gen_rayleigh_channel(2, 6, seed=2)
         frame = SymbolFrame.random(get_constellation("64qam"), 2, 3, seed=3)
-        h_r, s_r = h.h_real, stack_real(frame.s)
+        h_r, s_r = real_embed(h), stack_real(frame.s)
         res = squid_relax(h_r, s_r, cfg, SquidOptions(max_iters=40))
         assert res.objective == pytest.approx(
             self._relaxed_objective(res.b_real, h_r, s_r, cfg), rel=1e-12)
@@ -88,7 +89,7 @@ class TestObjective:
         cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=16.0)
         h = gen_rayleigh_channel(16, 128, seed=60)
         frame = SymbolFrame.random(get_constellation("16qam"), 16, 10, seed=61)
-        h_r, s_r = h.h_real, stack_real(frame.s)
+        h_r, s_r = real_embed(h), stack_real(frame.s)
         res = squid_relax(h_r, s_r, cfg, SquidOptions(momentum=momentum))
         assert res.iterations > 50
         assert res.objective == pytest.approx(
@@ -186,7 +187,7 @@ class TestSquidRelax:
         cfg = SystemConfig(4, 2, 2, noise_var=1e7, transmit_power=1.0)
         h = gen_rayleigh_channel(2, 4, seed=7)
         frame = SymbolFrame.random(get_constellation("qpsk"), 2, 2, seed=8)
-        res = squid_relax(h.h_real, stack_real(frame.s), cfg)
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg)
         assert np.max(np.abs(res.b_real)) < 1e-6
         assert res.objective == pytest.approx(np.sum(np.abs(frame.s) ** 2),
                                               rel=1e-6)
@@ -207,7 +208,7 @@ class TestSquidRelax:
         cfg = SystemConfig.from_snr_db(16, 4, 3, snr_db=5.0)
         h = gen_rayleigh_channel(4, 16, seed=9)
         frame = SymbolFrame.random(get_constellation("16qam"), 4, 3, seed=10)
-        res = squid_relax(h.h_real, stack_real(frame.s), cfg,
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
                           SquidOptions(momentum=False, max_iters=300))
         diffs = np.diff(res.objective_history)
         assert np.all(diffs <= 1e-10 * max(res.objective_history[0], 1.0))
@@ -216,7 +217,7 @@ class TestSquidRelax:
         cfg = SystemConfig.from_snr_db(8, 2, 2, snr_db=0.0)
         h = gen_rayleigh_channel(2, 8, seed=11)
         frame = SymbolFrame.random(get_constellation("8psk"), 2, 2, seed=12)
-        res = squid_relax(h.h_real, stack_real(frame.s), cfg,
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
                           SquidOptions(max_iters=3))
         assert res.objective <= np.sum(np.abs(frame.s) ** 2) + 1e-12
 
@@ -227,7 +228,7 @@ class TestSquidRelax:
             h = gen_rayleigh_channel(1, 2, seed=40 + seed)
             frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1,
                                        seed=50 + seed)
-            res = squid_relax(h.h_real, stack_real(frame.s), cfg,
+            res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
                               SquidOptions(max_iters=20000, rel_tol=1e-14))
             _, _, discrete = brute_force_qp(frame.s, h, cfg)
             assert res.objective <= discrete + 1e-9
@@ -240,7 +241,7 @@ class TestSquidRelax:
         with pytest.raises(TypeError):
             squid_relax(h, frame.s, cfg)
         with pytest.raises(TypeError):
-            squid_relax(h.h_real, frame.s, cfg)
+            squid_relax(real_embed(h), frame.s, cfg)
 
     def test_lipschitz_estimate_tracks_eigenvalue(self):
         rng = np.random.default_rng(13)
@@ -261,8 +262,8 @@ class TestSignRefine:
                         num_ues = num_antennas // 4
                         cfg = SystemConfig.from_snr_db(
                             num_antennas, num_ues, num_slots, snr_db=snr_db)
-                        h_r = gen_rayleigh_channel(
-                            num_ues, num_antennas, seed=70 + seed).h_real
+                        h_r = real_embed(gen_rayleigh_channel(
+                            num_ues, num_antennas, seed=70 + seed))
                         s_r = stack_real(SymbolFrame.random(
                             get_constellation("16qam"), num_ues, num_slots,
                             seed=80 + seed).s)
@@ -302,7 +303,7 @@ class TestSquidPrecode:
             frame = SymbolFrame.random(get_constellation("qpsk"), 16, 10,
                                        seed=500 + seed)
             sq = squid_precode(frame.s, h, cfg)
-            zf = linear_quantized_precode(frame.s, h, cfg)
+            zf = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
             obj_sq = qp_objective(frame.s, h, sq.x, sq.beta, cfg.noise_var)
             obj_zf = qp_objective(frame.s, h, zf.x, zf.beta, cfg.noise_var)
             assert obj_sq < obj_zf
