@@ -16,7 +16,8 @@ spelled as their keys (``--squid.max_iters 500``). List values (``snr_db``,
 ``precoder``) are comma separated.
 
 Exit status is 2 for an invalid setting (no trial runs), 1 when any trial
-recorded a hard failure, and 0 otherwise.
+recorded a hard failure, 130 when the sweep is interrupted (Ctrl-C; the
+CSV then holds the header and every finished point), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of {', '.join(ESTIMATOR_IDS)}")
     add("--trials", type=_at_least(1), default=10, help="Monte-Carlo trials per point")
     add("--seed", type=_at_least(0), default=0, help="master seed")
-    add("--out", type=str, default="ber_results.csv", help="output CSV path")
+    add("--out", type=str, default="ber_results.csv", help="output CSV file, in an existing directory")
     add("--stop-after-errors", dest="stop_after_errors", type=_at_least(0), default=0,
         help="stop a point early after this many bit errors (0 disables)")
     add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
@@ -96,14 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path, parser: argparse.ArgumentParser | None = None) -> dict:
+def parse_config_file(path, parser: argparse.ArgumentParser) -> dict:
     """Parse the flat key = value grammar into a string-valued dict.
 
-    Keys are checked against the option destinations of ``parser``
-    (:func:`build_parser` when omitted) and each value against its option's
-    type, so an error names the file, the line and the key.
+    Keys are checked against the option destinations of ``parser`` (built by
+    :func:`build_parser`) and each value against its option's type, so an
+    error names the file, the line and the key.
     """
-    types = {a.dest: a.type for a in (parser or build_parser())._actions
+    types = {a.dest: a.type for a in parser._actions
              if a.dest not in ("help", "config")}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -150,7 +151,7 @@ def sweep_config(args: argparse.Namespace) -> SweepConfig:
         trials=args.trials,
         seed=args.seed,
         out=args.out,
-        stop_after_errors=args.stop_after_errors or None,
+        stop_after_errors=args.stop_after_errors,
         squid=SquidOptions(max_iters=opts["squid.max_iters"],
                            rel_tol=opts["squid.rel_tol"]),
         sdr=SdrOptions(tol=opts["sdr.tol"], max_iters=opts["sdr.max_iters"]),
@@ -161,10 +162,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         cfg = sweep_config(parse_settings(parser, argv))
-    except (OSError, ValueError, KeyError) as err:
-        # str() of a KeyError is the repr of its message
-        parser.error(str(err.args[0] if isinstance(err, KeyError) else err))
-    records = sweep(cfg)
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
+    try:
+        records = sweep(cfg)
+    except KeyboardInterrupt:
+        print(f"interrupted; {cfg.out} holds the header and every finished point",
+              file=sys.stderr)
+        return 130
     hard_failures = 0
     for rec in records:
         print(f"snr={rec.snr_db:g} dB  precoder={rec.precoder}  "
@@ -173,8 +178,7 @@ def main(argv=None) -> int:
               f"clamps={rec.clamp_flags}  flags={rec.precoder_flags}  "
               f"failures={rec.failures}")
         hard_failures += rec.failures
-    if cfg.out is not None:
-        print(f"wrote {cfg.out}")
+    print(f"wrote {cfg.out}")
     if hard_failures:
         print(f"{hard_failures} trial(s) failed", file=sys.stderr)
         return 1

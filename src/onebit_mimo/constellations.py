@@ -91,7 +91,7 @@ CONSTELLATION_IDS = tuple(_REGISTRY)
 def get_constellation(name: str) -> Constellation:
     key = name.strip().lower()
     if key not in _REGISTRY:
-        raise KeyError(
+        raise ValueError(
             f"unknown constellation {name!r}; choose from {CONSTELLATION_IDS}"
         )
     return _REGISTRY[key]

@@ -14,6 +14,8 @@ Conventions
 - Downlink: Y = H X + N with H of shape (U, B), X of shape (B, K).
 - Transmit set: every entry of X lies in {+-l +-jl} with l = sqrt(P / (2B)),
   so each slot satisfies ||x[k]||^2 = P.
+- Power: sweeps fix P = 1 and set N0 = 1/SNR (:meth:`SystemConfig.from_snr_db`);
+  another P takes a :class:`SystemConfig` built directly.
 - vec() is column-major (column stacking), so vec(A B C) = (C^T kron A) vec(B)
   holds with the textbook convention.
 - RNG: every stochastic helper takes an explicit ``seed`` (int or
@@ -21,8 +23,9 @@ Conventions
   splittable via ``SeedSequence.spawn``, so trials are reproducible and
   independently parallelizable.
 
-All functions here are pure; values are immutable after construction and
-safe to share across threads.
+All functions here are pure; values are immutable after construction (a
+:class:`ChannelMatrix` caches its real embedding on first use) and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .constellations import modulate
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +87,15 @@ class SystemConfig:
 
     @classmethod
     def from_snr_db(cls, num_bs_antennas: int, num_ues: int, num_slots: int,
-                    snr_db: float, transmit_power: float = 1.0) -> "SystemConfig":
-        """Fix P and derive N0 = P / SNR; ValueError unless N0 is finite and > 0."""
+                    snr_db: float) -> "SystemConfig":
+        """Fix P = 1 and derive N0 = 1 / SNR; ValueError unless N0 is finite and > 0."""
         try:
-            noise_var = transmit_power / (10.0 ** (snr_db / 10.0))
+            noise_var = 1.0 / (10.0 ** (snr_db / 10.0))
         except (OverflowError, ZeroDivisionError):
             noise_var = math.nan
-        if 0.0 < transmit_power < math.inf and not 0.0 < noise_var < math.inf:
+        if not 0.0 < noise_var < math.inf:
             raise ValueError(f"snr_db = {snr_db} dB gives no finite positive noise variance")
-        return cls(num_bs_antennas, num_ues, num_slots,
-                   noise_var=noise_var, transmit_power=transmit_power)
+        return cls(num_bs_antennas, num_ues, num_slots, noise_var=noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +179,6 @@ class SymbolFrame:
 
     @classmethod
     def random(cls, constellation, num_ues: int, num_slots: int, seed) -> "SymbolFrame":
-        from .constellations import modulate
-
         rng = np.random.default_rng(seed)
         m = constellation.bits_per_symbol
         bits = rng.integers(0, 2, size=(num_ues, num_slots * m)).astype(np.uint8)

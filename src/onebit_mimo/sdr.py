@@ -119,7 +119,7 @@ def _project_affine(m: np.ndarray, num_vec: int) -> np.ndarray:
 
 def _constraint_violation(z: np.ndarray, num_vec: int) -> float:
     diag = np.diagonal(z)[:num_vec]
-    spread = float(np.max(np.abs(diag - diag.mean()))) if num_vec else 0.0
+    spread = float(np.max(np.abs(diag - diag.mean())))
     return max(spread, abs(float(z[num_vec, num_vec]) - 1.0))
 
 

@@ -60,12 +60,12 @@ PRECODERS = {
 }
 PRECODER_IDS = tuple(PRECODERS)
 #: estimator id -> (pilot slots, (precoder result, y, trial config) ->
-#: FactorEstimate); the pilot slots lead the frame with sqrt(Es) = 1 at every
-#: UE, and each entry looks its estimator up by name when called
+#: FactorEstimate); the pilot slots lead the frame with 1 at every UE, and
+#: each entry looks its estimator up by name when called
 ESTIMATORS = {
-    "genie": (0, lambda pre, y, cfg: genie_estimate(pre, cfg.system.num_ues)),
-    "pilot": (1, lambda pre, y, cfg: pilot_mle(y[:, 0], es=1.0)),
-    "blind": (0, lambda pre, y, cfg: blind_estimate(y, 1.0, cfg.system.noise_var)),
+    "genie": (0, lambda pre, y, cfg: genie_estimate(pre.beta, cfg.system.num_ues)),
+    "pilot": (1, lambda pre, y, cfg: pilot_mle(y[:, 0])),
+    "blind": (0, lambda pre, y, cfg: blind_estimate(y, cfg.system.noise_var)),
 }
 ESTIMATOR_IDS = tuple(ESTIMATORS)
 
@@ -93,6 +93,7 @@ class TrialConfig:
     sdr: SdrOptions = SdrOptions()
 
     def __post_init__(self):
+        get_constellation(self.constellation)
         if self.precoder not in PRECODER_IDS:
             raise ValueError(f"unknown precoder {self.precoder!r}; choose from {PRECODER_IDS}")
         if self.estimator not in ESTIMATOR_IDS:
@@ -131,7 +132,7 @@ class SweepConfig:
     trials: int
     seed: int
     out: str | Path | None = None
-    stop_after_errors: int | None = None
+    stop_after_errors: int = 0
     squid: SquidOptions = SquidOptions()
     sdr: SdrOptions = SdrOptions()
 
@@ -146,11 +147,12 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.stop_after_errors is not None and self.stop_after_errors < 1:
-            raise ValueError("stop_after_errors must be >= 1 (or None)")
+        if self.stop_after_errors < 0:
+            raise ValueError("stop_after_errors must be >= 0 (0 disables)")
+        if self.out is not None and Path(self.out).is_dir():
+            raise ValueError(f"output path {str(self.out)!r} names a directory, not a file")
         if self.out is not None and not Path(self.out).parent.is_dir():
             raise ValueError(f"output directory of {str(self.out)!r} does not exist")
-        get_constellation(self.constellation)
         for snr_db in self.snr_db:
             for precoder in self.precoders:
                 self.trial_config(snr_db, precoder)
@@ -335,8 +337,8 @@ def sweep(cfg: SweepConfig) -> list:
     point's row is flushed when the point finishes, so an interrupted sweep
     keeps its finished points. A trial whose precoder raises is counted in
     ``failures`` rather than dropped silently. With ``stop_after_errors``
-    set, a point stops accumulating trials once that many bit errors have
-    been seen (opt-in, off by default).
+    above 0, a point stops accumulating trials once that many bit errors
+    have been seen; 0, the default, runs every trial.
     """
     records = []
     with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
@@ -345,26 +347,24 @@ def sweep(cfg: SweepConfig) -> list:
             for precoder in cfg.precoders:
                 tcfg = cfg.trial_config(snr_db, precoder)
                 t0 = time.perf_counter()
-                errors = bits = clamps = flags = failures = done = 0
+                errors = bits = clamps = flags = failures = 0
                 for trial_index in range(cfg.trials):
                     seed = trial_seed_for(cfg.seed, point_index, trial_index)
                     try:
                         res = run_trial(tcfg, seed)
                     except (np.linalg.LinAlgError, ValueError):
                         failures += 1
-                        done += 1
                         continue
                     errors += int(res.bit_errors.sum())
                     bits += res.bits_total
                     clamps += res.clamp_flags
                     flags += res.precoder_flags
-                    done += 1
-                    if cfg.stop_after_errors is not None and errors >= cfg.stop_after_errors:
+                    if 0 < cfg.stop_after_errors <= errors:
                         break
                 records.append(BerRecord(
                     snr_db=snr_db, precoder=precoder,
                     constellation=cfg.constellation, estimator=cfg.estimator,
-                    bit_errors=errors, bits_total=bits, trials=done,
+                    bit_errors=errors, bits_total=bits, trials=trial_index + 1,
                     clamp_flags=clamps, wall_time=time.perf_counter() - t0,
                     failures=failures, precoder_flags=flags,
                 ))

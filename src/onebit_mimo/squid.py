@@ -112,10 +112,11 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
     and ``s_r`` the (2U x K) stacked frame (:func:`real_embed`,
     :func:`stack_real`). Iterates b <- prox(b - gamma * 2 Hbar^T (Hbar b -
-    sbar), gamma * penalty) with step gamma = 1/L and optional Nesterov
-    momentum, stopping when the relative objective change drops below
-    ``rel_tol`` or ``max_iters`` is reached. The returned objective never
-    exceeds the objective at b = 0 (the starting point).
+    sbar), gamma * penalty) with step gamma = 1/L and Nesterov momentum
+    (without it, t stays 1 and the extrapolation weight is 0), stopping when
+    the relative objective change drops below ``rel_tol`` or ``max_iters``
+    is reached. The returned objective never exceeds the objective at b = 0
+    (the starting point).
     """
     if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
         raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
@@ -153,14 +154,11 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
         if f_next < f_best:
             b_best, f_best = b_next, f_next
 
-        if opts.momentum:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum ** 2))
-            coef = (t_momentum - 1.0) / t_new
-            y = b_next + coef * (b_next - b)
-            resid_y = resid_next + coef * (resid_next - resid)
-            t_momentum = t_new
-        else:
-            y, resid_y = b_next, resid_next
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum ** 2)) if opts.momentum else 1.0
+        coef = (t_momentum - 1.0) / t_new
+        y = b_next + coef * (b_next - b)
+        resid_y = resid_next + coef * (resid_next - resid)
+        t_momentum = t_new
 
         rel_change = abs(f_next - f_cur) / max(abs(f_cur), 1e-30)
         b, resid, f_cur = b_next, resid_next, f_next
@@ -191,8 +189,7 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     factor between rounds. Flips only ever lower the objective, so all
     dominance properties against the exhaustive optimum are preserved.
     """
-    num_ues2, _ = h_r.shape
-    num_ues = num_ues2 // 2
+    num_ues = h_r.shape[0] // 2
     num_slots = s_r.shape[1]
     slots = np.arange(num_slots)
     col_energy = np.sum(h_r * h_r, axis=0)

@@ -248,7 +248,7 @@ def test_c8_blind_estimator_consistency():
     """C8: with the true error energy supplied, the blind estimate converges."""
     rng = np.random.default_rng(MASTER_SEED)
     num_samples = 100_000
-    beta, es, n0, e0 = 2.0, 1.0, 0.025, 0.01
+    beta, n0, e0 = 2.0, 0.025, 0.01
     worst = 0.0
     for _ in range(100):
         s = np.exp(2j * np.pi * rng.integers(0, 4, num_samples) / 4)
@@ -256,8 +256,7 @@ def test_c8_blind_estimator_consistency():
                                + 1j * rng.standard_normal(num_samples))
         n = np.sqrt(n0 / 2) * (rng.standard_normal(num_samples)
                                + 1j * rng.standard_normal(num_samples))
-        est = blind_estimate(s / beta + e + n, es=es, noise_var=n0,
-                             err_energy=e0)
+        est = blind_estimate(s / beta + e + n, noise_var=n0, err_energy=e0)
         worst = max(worst, abs(est.betas[0] / beta - 1.0))
     ok = worst < 0.01
     assert _report("C8 blind estimator consistency", ok,

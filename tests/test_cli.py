@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from onebit_mimo import sim
 from onebit_mimo.cli import (
     build_parser,
     main,
@@ -34,7 +35,7 @@ class TestConfigFile:
             "sdr.max_iters = 50\n"
             "\n"
         )
-        values = parse_config_file(cfg)
+        values = parse_config_file(cfg, build_parser())
         assert values["bs_antennas"] == "8"
         assert values["snr_db"] == "0, 5, 10"
         assert values["sdr.max_iters"] == "50"
@@ -44,13 +45,13 @@ class TestConfigFile:
         for line in ("antennas = 8\n", "sdr.block_mode = false\n", "config = x\n"):
             cfg.write_text(line)
             with pytest.raises(ValueError, match="unknown key"):
-                parse_config_file(cfg)
+                parse_config_file(cfg, build_parser())
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bs_antennas 8\n")
         with pytest.raises(ValueError, match="key = value"):
-            parse_config_file(cfg)
+            parse_config_file(cfg, build_parser())
 
     def test_cli_overrides_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -69,7 +70,7 @@ class TestConfigFile:
         assert sweep_cfg.snr_db == (-8.0, -4.0, 0.0, 4.0, 8.0, 12.0)
         assert sweep_cfg.constellation == "16qam"
         assert sweep_cfg.precoders == ("zfq", "squid")
-        assert sweep_cfg.stop_after_errors is None
+        assert sweep_cfg.stop_after_errors == 0
         assert sweep_cfg.squid == SquidOptions()
         assert sweep_cfg.sdr == SdrOptions()
 
@@ -92,11 +93,11 @@ class TestSweepConfigMapping:
         assert sweep_cfg.constellation == "qpsk"
         assert sweep_cfg.squid == SquidOptions(max_iters=123, rel_tol=1e-3)
         assert sweep_cfg.sdr == SdrOptions(tol=1e-4, max_iters=77)
-        assert sweep_cfg.stop_after_errors is None
+        assert sweep_cfg.stop_after_errors == 0
 
     def test_stop_after_errors_zero_disables(self):
         settings = _settings(["--stop-after-errors", "0"])
-        assert sweep_config(settings).stop_after_errors is None
+        assert sweep_config(settings).stop_after_errors == 0
 
     def test_negative_snr_list_with_equals_form(self):
         settings = _settings(["--snr-db=-8,-4,0"])
@@ -123,6 +124,43 @@ class TestMain:
         main(self.ARGS + ["--out", str(out1)])
         main(self.ARGS + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("value", ["", "."])
+    def test_config_file_out_naming_a_directory_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"bs_antennas = 4\nues = 2\nslots = 2\nout = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"output path '{value}' names a directory" in captured.err
+
+    def test_interrupt_exits_130_keeping_finished_points(self, tmp_path, capsys,
+                                                          monkeypatch):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        main(self.ARGS + ["--out", str(full)])
+        finished = full.read_text().splitlines(keepends=True)[:2]
+        capsys.readouterr()
+        calls = []
+        uninterrupted = sim.run_trial
+
+        def interrupt_in_point_1(tcfg, seed):
+            calls.append(seed)
+            if len(calls) == 3 + 1:  # point 1's first trial (3 per point)
+                raise KeyboardInterrupt
+            return uninterrupted(tcfg, seed)
+
+        monkeypatch.setattr(sim, "run_trial", interrupt_in_point_1)
+        try:
+            code = main(self.ARGS + ["--out", str(cut)])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        err = capsys.readouterr().err
+        assert f"{cut} holds the header and every finished point" in err
+        assert "Traceback" not in err
+        assert cut.read_text() == "".join(finished)
 
     def test_hard_failures_exit_nonzero(self, tmp_path, capsys):
         # brute force guard trips at B=16, so every trial fails hard
@@ -156,6 +194,8 @@ class TestMain:
         ("squid.rel_tol = 0\n", [], "squid.rel_tol: must be > 0, got 0.0"),
         ("sdr.tol = 0\n", [], "sdr.tol: must be > 0, got 0.0"),
         ("sdr.tol = nan\n", [], "sdr.tol: must be > 0, got nan"),
+        ("", ["--out", "."], "output path '.' names a directory"),
+        ("", ["--out", ""], "output path '' names a directory"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

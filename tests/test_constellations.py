@@ -113,5 +113,5 @@ class TestDetect:
         assert not mags.max() - mags.min() < 1e-12
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown constellation"):
             get_constellation("32apsk")

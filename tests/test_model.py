@@ -45,15 +45,10 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="snr_db"):
             SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db)
 
-    def test_from_snr_db_names_infinite_power(self):
-        # P = inf also makes N0 infinite; the error must blame P, not the SNR
-        with pytest.raises(ValueError, match="transmit_power"):
-            SystemConfig.from_snr_db(8, 2, 1, snr_db=5.0, transmit_power=np.inf)
-
     @pytest.mark.parametrize("snr_db", [-3000.0, -12.5, 0.0, 7.0, 3000.0])
     def test_from_snr_db_noise_is_p_over_snr(self, snr_db):
-        cfg = SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db, transmit_power=2.0)
-        assert cfg.noise_var == 2.0 / (10.0 ** (snr_db / 10.0))
+        cfg = SystemConfig.from_snr_db(8, 2, 1, snr_db=snr_db)
+        assert cfg.noise_var == 1.0 / (10.0 ** (snr_db / 10.0))
 
     def test_rejects_fewer_antennas_than_ues(self):
         with pytest.raises(ValueError):
@@ -177,6 +172,18 @@ class TestRealEmbedding:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             real_embed(np.array([[np.nan + 0j]]))
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: unstack_real(np.ones((3, 2))),
+        lambda: unvec(np.ones(5), 2, 3),
+        lambda: ChannelMatrix(np.ones(3)),
+        lambda: gen_rayleigh_channel(0, 2, seed=0),
+    ], ids=["odd_unstack", "unvec_size", "1d_channel", "no_ues"])
+    def test_malformed_shape_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestVectorization:

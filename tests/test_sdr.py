@@ -6,6 +6,7 @@ import pytest
 from onebit_mimo import (
     SdpProblem,
     SdpSolution,
+    SdrOptions,
     SymbolFrame,
     SystemConfig,
     assemble_T,
@@ -59,6 +60,15 @@ class TestAssembleT:
         hbar = rng.standard_normal((4, 4))
         prob = assemble_T(hbar, rng.standard_normal(4), 2, 0.1, 1.0)
         assert np.array_equal(prob.t, prob.t.T)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SdrOptions(tol=0.0),
+        lambda: SdrOptions(max_iters=0),
+        lambda: assemble_T(np.ones((4, 4)), np.ones(6), 2, 0.1, 1.0),
+    ], ids=["tol", "max_iters", "row_mismatch"])
+    def test_invalid_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestProjectPsd:
@@ -153,6 +163,7 @@ class TestSolveSdp:
         sol = solve_sdp(_lifted_problem(frame.s, h, cfg), tol=1e-12, max_iters=5)
         assert not sol.converged
         assert sol.iterations == 5
+        assert "sdr_nonconverged" in extract_rank_one(sol, frame.s, h, cfg).flags
 
 
 class TestExtractRankOne:
@@ -241,7 +252,8 @@ class TestSdrPrecode:
         assert obj_bk == pytest.approx(obj_ps, rel=1e-3)
 
     def test_output_power_per_slot(self):
-        cfg = SystemConfig.from_snr_db(4, 2, 2, snr_db=6.0, transmit_power=3.0)
+        cfg = SystemConfig(4, 2, 2, noise_var=3.0 / 10.0 ** (6.0 / 10.0),
+                           transmit_power=3.0)
         h = gen_rayleigh_channel(2, 4, seed=64)
         frame = SymbolFrame.random(get_constellation("16qam"), 2, 2, seed=65)
         res = sdr_precode(frame.s, h, cfg)

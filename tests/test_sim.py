@@ -162,11 +162,16 @@ class TestSweep:
                           dict(estimator="oracle"),
                           dict(estimator="pilot", num_slots=1),
                           dict(num_bs_antennas=1),
-                          dict(out=tmp_path / "missing" / "x.csv")):
+                          dict(out=tmp_path / "missing" / "x.csv"),
+                          dict(constellation="5qam"),
+                          dict(out=tmp_path),
+                          dict(out=""),
+                          dict(snr_db=()),
+                          dict(trials=0),
+                          dict(seed=-1),
+                          dict(stop_after_errors=-1)):
             with pytest.raises(ValueError):
                 self._cfg(**overrides)
-        with pytest.raises(KeyError):
-            self._cfg(constellation="5qam")
 
     def test_single_point_single_trial(self):
         records = sweep(self._cfg(snr_db=(4.0,), precoders=("zfq",), trials=1))

@@ -73,7 +73,8 @@ class TestObjective:
         assert res.objective == pytest.approx(l2_form, rel=1e-12)
 
     def test_matches_independent_recomputation(self):
-        cfg = SystemConfig.from_snr_db(6, 2, 3, snr_db=3.0, transmit_power=1.5)
+        cfg = SystemConfig(6, 2, 3, noise_var=1.5 / 10.0 ** (3.0 / 10.0),
+                           transmit_power=1.5)
         h = gen_rayleigh_channel(2, 6, seed=2)
         frame = SymbolFrame.random(get_constellation("64qam"), 2, 3, seed=3)
         h_r, s_r = real_embed(h), stack_real(frame.s)
@@ -243,6 +244,16 @@ class TestSquidRelax:
         with pytest.raises(TypeError):
             squid_relax(real_embed(h), frame.s, cfg)
 
+    @pytest.mark.parametrize("call", [
+        lambda: SquidOptions(max_iters=0),
+        lambda: SquidOptions(rel_tol=0.0),
+        lambda: squid_relax(np.ones((4, 4)), np.ones((6, 2)),
+                            SystemConfig(2, 2, 2, noise_var=0.1)),
+    ], ids=["max_iters", "rel_tol", "shape_mismatch"])
+    def test_invalid_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_lipschitz_estimate_tracks_eigenvalue(self):
         rng = np.random.default_rng(13)
         h_r = rng.standard_normal((8, 12))
@@ -288,7 +299,8 @@ class TestSquidPrecode:
         assert np.array_equal(res.x, x_star)
 
     def test_output_power_per_slot(self):
-        cfg = SystemConfig.from_snr_db(16, 4, 3, snr_db=2.0, transmit_power=2.0)
+        cfg = SystemConfig(16, 4, 3, noise_var=2.0 / 10.0 ** (2.0 / 10.0),
+                           transmit_power=2.0)
         h = gen_rayleigh_channel(4, 16, seed=14)
         frame = SymbolFrame.random(get_constellation("qpsk"), 4, 3, seed=15)
         res = squid_precode(frame.s, h, cfg)
