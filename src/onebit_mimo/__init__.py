@@ -3,7 +3,8 @@
 Library layout:
 
 - :mod:`onebit_mimo.model` - system configuration, channel/noise generation,
-  real embedding, column-major vec/unvec, the shared frame-MSE objective
+  real embedding, column-major vec/unvec, the shared frame-MSE objective,
+  the result types of the precoders and of their relaxation solvers
 - :mod:`onebit_mimo.constellations` - Gray-labeled constellation tables,
   modulation, minimum-distance detection
 - :mod:`onebit_mimo.linear` - ZF/MRT matrices, the 1-bit quantizer and the
@@ -40,6 +41,7 @@ from .linear import (
 from .model import (
     ChannelMatrix,
     PrecodeResult,
+    SolverResult,
     SymbolFrame,
     SystemConfig,
     apply_channel,
@@ -55,7 +57,6 @@ from .model import (
 )
 from .sdr import (
     SdpProblem,
-    SdpSolution,
     SdrOptions,
     assemble_T,
     extract_rank_one,
@@ -79,7 +80,6 @@ from .sim import (
 )
 from .squid import (
     SquidOptions,
-    SquidResult,
     estimate_gradient_lipschitz,
     prox_sq_inf,
     squid_precode,

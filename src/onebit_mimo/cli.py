@@ -23,6 +23,7 @@ CSV then holds the header and every finished point), and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,8 +37,12 @@ def float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def name(text: str) -> str:
+    return text.strip().lower()  # the library takes only the exact id
+
+
 def name_list(text: str) -> tuple:
-    return tuple(v.strip().lower() for v in text.split(",") if v.strip())
+    return tuple(name(v) for v in text.split(",") if v.strip())
 
 
 def _at_least(low: int):
@@ -51,9 +56,11 @@ def _at_least(low: int):
 
 
 def _positive(text: str) -> float:
-    """A float option type that rejects values <= 0 and nan."""
+    """A float option type that accepts only 0 < value < inf."""
     if not (value := float(text)) > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
@@ -75,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("--snr-db", dest="snr_db", type=float_list,
         default=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0),
         help="comma separated SNR list in dB")
-    add("--constellation", type=str.lower, default="qpsk",
+    add("--constellation", type=name, default="qpsk",
         help=f"one of {', '.join(CONSTELLATION_IDS)}")
     add("--precoder", type=name_list, default=("squid",),
         help=f"comma separated subset of {', '.join(PRECODER_IDS)}")
-    add("--estimator", type=str.lower, default="blind",
+    add("--estimator", type=name, default="blind",
         help=f"one of {', '.join(ESTIMATOR_IDS)}")
     add("--trials", type=_at_least(1), default=10, help="Monte-Carlo trials per point")
     add("--seed", type=_at_least(0), default=0, help="master seed")

@@ -19,9 +19,10 @@ that bit error rates are reproducible:
   bit.
 
 Detection is minimum-distance with ties broken toward the lowest label, which
-makes it deterministic. For constant-modulus sets the decision is invariant
-to any positive scaling of the input, so those constellations never need an
-amplitude estimate at the receiver.
+makes it deterministic. It returns label codes; ``labels[codes]`` are their
+bits. For constant-modulus sets the decision is invariant to any positive
+scaling of the input, so those constellations never need an amplitude
+estimate at the receiver.
 """
 
 from __future__ import annotations
@@ -89,12 +90,12 @@ CONSTELLATION_IDS = tuple(_REGISTRY)
 
 
 def get_constellation(name: str) -> Constellation:
-    key = name.strip().lower()
-    if key not in _REGISTRY:
+    """The table of an exact id from ``CONSTELLATION_IDS`` (lower case, unpadded)."""
+    if name not in _REGISTRY:
         raise ValueError(
             f"unknown constellation {name!r}; choose from {CONSTELLATION_IDS}"
         )
-    return _REGISTRY[key]
+    return _REGISTRY[name]
 
 
 def modulate(bits, c: Constellation) -> np.ndarray:
@@ -109,15 +110,10 @@ def modulate(bits, c: Constellation) -> np.ndarray:
 def detect(shat, c: Constellation):
     """Minimum-distance detection, ties to the lowest label.
 
-    Accepts a scalar or any-shape array; returns (label codes, bit labels),
-    where a label code indexes ``c.points`` and the bit labels gain a
-    trailing axis of length bits_per_symbol.
+    Returns the label codes, shaped like ``shat`` (0-d for a scalar); a code
+    indexes ``c.points``, and ``c.labels[codes]`` are the detected bits.
     """
     arr = np.asarray(shat, dtype=complex)
     re = arr.real[..., None] - c.points.real
     im = arr.imag[..., None] - c.points.imag
-    idx = np.argmin(re * re + im * im, axis=-1)
-    bits = c.labels[idx]
-    if arr.ndim == 0:
-        return int(idx), bits
-    return idx, bits
+    return np.argmin(re * re + im * im, axis=-1)

@@ -1,9 +1,9 @@
 """System model for the 1-bit quantized massive MU-MIMO downlink.
 
 Holds the domain types (system configuration, the drawn channel, symbol
-frame, precoder output), channel/noise generation, the real-valued embedding
-of complex matrices, column-major vectorization (the K-slot block lift is
-in :func:`onebit_mimo.sdr.assemble_T`), and the shared mean-square-error
+frame, precoder and solver outputs), channel/noise generation, the real
+embedding of complex matrices, column-major vectorization (the K-slot lift
+is :func:`onebit_mimo.sdr.assemble_T`), and the shared mean-square-error
 objective that every precoder (and the exhaustive oracle) minimizes.
 
 Every function that takes a channel accepts anything ``np.asarray`` turns
@@ -199,6 +199,18 @@ class PrecodeResult:
     flags: tuple = ()
 
 
+@dataclass(frozen=True)
+class SolverResult:
+    """Outcome of an iterative relaxation solver: its solution ``x`` and the
+    ``history`` of its run, whose form each solver documents."""
+
+    x: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+    history: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # Stochastic generators
 # ---------------------------------------------------------------------------
@@ -221,6 +233,8 @@ def gen_awgn(num_ues: int, num_slots: int, noise_var: float, seed) -> np.ndarray
     """I.i.d. circularly-symmetric complex Gaussian noise, variance N0 per entry."""
     if not (noise_var > 0):
         raise ValueError("noise_var must be > 0")
+    if not noise_var < math.inf:
+        raise ValueError(f"noise_var must be finite, got {noise_var}")
     rng = np.random.default_rng(seed)
     shape = (num_ues, num_slots)
     scale = math.sqrt(noise_var / 2.0)

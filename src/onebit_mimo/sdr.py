@@ -7,8 +7,8 @@ tr(T X) over PSD matrices whose first 2BK diagonal entries are tied
 together (all |b_i| share one magnitude) and whose last diagonal entry is
 pinned to 1. The SDP is solved by a self-contained ADMM that alternates a
 closed-form projection onto the affine constraint set with a projection
-onto the PSD cone; a 1-bit frame is then extracted by sign-quantizing the
-leading eigenvector.
+onto the PSD cone and returns a :class:`~onebit_mimo.model.SolverResult`;
+a 1-bit frame is then extracted by sign-quantizing the leading eigenvector.
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
 configuration. The joint K-slot SDP (dimension 2BK+1) is :func:`assemble_T`
@@ -24,6 +24,7 @@ import numpy as np
 from .linear import one_bit_quantize
 from .model import (
     PrecodeResult,
+    SolverResult,
     SystemConfig,
     optimal_beta_for,
     real_embed,
@@ -42,6 +43,8 @@ class SdrOptions:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be > 0")
+        if not self.tol < np.inf:
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -58,17 +61,6 @@ class SdpProblem:
     @property
     def dim(self) -> int:
         return self.t.shape[0]
-
-
-@dataclass(frozen=True)
-class SdpSolution:
-    x: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-    #: (iterations, 2) primal and dual residuals; :func:`solve_sdp` always
-    #: fills it
-    residual_history: np.ndarray | None = None
 
 
 def assemble_T(h_r: np.ndarray, s_r: np.ndarray, num_ues: int,
@@ -130,7 +122,7 @@ RHO_ADAPT_BURN_IN = 1000
 
 
 def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
-              max_iters: int = SdrOptions.max_iters) -> SdpSolution:
+              max_iters: int = SdrOptions.max_iters) -> SolverResult:
     """ADMM over the affine constraint set and the PSD cone.
 
     x-update: project (z - u - T/rho) onto the affine set (closed form:
@@ -140,8 +132,9 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
     1 and is adapted by residual balancing (factor 2 when the residual
     ratio exceeds 10) during the first ``RHO_ADAPT_BURN_IN`` iterations and
     then frozen.
-    Returns the best-effort iterate with ``converged=False`` if the budget
-    runs out; z is PSD by construction either way.
+    Returns z as ``x``, with ``converged=False`` if the budget runs out (z is
+    PSD by construction either way), and the (iterations, 2) primal and dual
+    residuals as ``history``.
     """
     t = problem.t
     n = problem.dim
@@ -176,16 +169,11 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
                 rho /= 2.0
                 dual = dual * 2.0
 
-    return SdpSolution(
-        x=z,
-        objective=float(np.sum(t * z)),
-        iterations=iterations,
-        converged=converged,
-        residual_history=np.asarray(history),
-    )
+    return SolverResult(x=z, objective=float(np.sum(t * z)), iterations=iterations,
+                        converged=converged, history=np.asarray(history))
 
 
-def extract_rank_one(sol: SdpSolution, s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
+def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """Round the SDP solution to a 1-bit frame via its leading eigenvector.
 
     The global sign is flipped so the homogenization entry is nonnegative

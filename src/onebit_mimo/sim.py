@@ -183,8 +183,8 @@ class BerRecord:
     trials: int
     clamp_flags: int
     wall_time: float
-    failures: int = 0
-    precoder_flags: int = 0
+    failures: int
+    precoder_flags: int
 
     @property
     def ber(self) -> float:
@@ -249,8 +249,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     y = apply_channel(h, pre.x, noise)
     est = estimate(pre, y, cfg)
     s_hat = est.betas[:, None] * y[:, pilots:]
-    _, bits_hat = detect(s_hat, const)
-    bits_hat = bits_hat.reshape(system.num_ues, -1)
+    bits_hat = const.labels[detect(s_hat, const)].reshape(system.num_ues, -1)
     bit_errors = np.sum(bits_hat != frame.bits, axis=1)
 
     return TrialResult(

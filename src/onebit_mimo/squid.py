@@ -14,6 +14,7 @@ size 1/L with L = 2 sigma_max(H_R)^2, the exact Lipschitz constant of the
 gradient (I_K kron H_R has the singular values of H_R). Each iteration
 takes one product with the per-slot embedded channel and one with its
 transpose; the block matrix I_K kron H_R is never formed.
+:func:`squid_relax` returns a :class:`~onebit_mimo.model.SolverResult`.
 :func:`squid_precode` rounds the relaxed solution to the 1-bit set, refines
 the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and returns the
 frame with its conditionally optimal precoding factor.
@@ -28,6 +29,7 @@ import numpy as np
 from .linear import one_bit_quantize
 from .model import (
     PrecodeResult,
+    SolverResult,
     SystemConfig,
     optimal_beta_for,
     real_embed,
@@ -50,17 +52,8 @@ class SquidOptions:
             raise ValueError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be > 0")
-
-
-@dataclass(frozen=True)
-class SquidResult:
-    """Best iterate of the relaxation solver as the (2B x K) real embedding."""
-
-    b_real: np.ndarray
-    objective: float
-    objective_history: np.ndarray
-    converged: bool
-    iterations: int
+        if not self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite, got {self.rel_tol}")
 
 
 def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
@@ -106,8 +99,8 @@ def estimate_gradient_lipschitz(h_r: np.ndarray) -> float:
 
 
 def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
-                opts: SquidOptions = SquidOptions()) -> SquidResult:
-    """Solve the relaxed problem; returns the best iterate found.
+                opts: SquidOptions = SquidOptions()) -> SolverResult:
+    """Solve the relaxed problem; returns the best (2B x K) iterate as ``x``.
 
     Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
     and ``s_r`` the (2U x K) stacked frame (:func:`real_embed`,
@@ -116,7 +109,8 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     (without it, t stays 1 and the extrapolation weight is 0), stopping when
     the relative objective change drops below ``rel_tol`` or ``max_iters``
     is reached. The returned objective never exceeds the objective at b = 0
-    (the starting point).
+    (the starting point), which opens the objective ``history`` of
+    ``iterations + 1`` entries.
     """
     if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
         raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
@@ -166,13 +160,8 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
             converged = True
             break
 
-    return SquidResult(
-        b_real=b_best,
-        objective=f_best,
-        objective_history=np.asarray(history),
-        converged=converged,
-        iterations=iterations,
-    )
+    return SolverResult(x=b_best, objective=f_best, iterations=iterations,
+                        converged=converged, history=np.asarray(history))
 
 
 def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
@@ -236,7 +225,7 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
     h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
     relaxed = squid_relax(h_r, s_r, cfg, opts)
-    x = one_bit_quantize(unstack_real(relaxed.b_real), cfg.transmit_power)
+    x = one_bit_quantize(unstack_real(relaxed.x), cfg.transmit_power)
     x = unstack_real(_greedy_sign_refine(stack_real(x), h_r, s_r,
                                          cfg.noise_var, cfg.quant_level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)

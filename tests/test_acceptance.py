@@ -139,7 +139,7 @@ def test_c4_objective_descent_without_momentum():
         h = gen_rayleigh_channel(16, 128, seed=20_000 + seed)
         frame = SymbolFrame.random(qpsk, 16, 10, seed=30_000 + seed)
         res = squid_relax(real_embed(h), stack_real(frame.s), cfg, opts)
-        history = res.objective_history
+        history = res.history
         rises = np.diff(history) / max(history[0], 1.0)
         worst_rise = max(worst_rise, float(rises.max()))
     ok = worst_rise <= 1e-10

@@ -95,6 +95,15 @@ class TestSweepConfigMapping:
         assert sweep_cfg.sdr == SdrOptions(tol=1e-4, max_iters=77)
         assert sweep_cfg.stop_after_errors == 0
 
+    def test_ids_are_stripped_and_lower_cased(self):
+        # the library takes only the exact id, so the CSV never spells it twice
+        settings = _settings(["--constellation", " 16QAM ", "--estimator", "Pilot ",
+                              "--precoder", " ZFQ"])
+        sweep_cfg = sweep_config(settings)
+        assert sweep_cfg.constellation == "16qam"
+        assert sweep_cfg.estimator == "pilot"
+        assert sweep_cfg.precoders == ("zfq",)
+
     def test_stop_after_errors_zero_disables(self):
         settings = _settings(["--stop-after-errors", "0"])
         assert sweep_config(settings).stop_after_errors == 0
@@ -196,6 +205,8 @@ class TestMain:
         ("sdr.tol = nan\n", [], "sdr.tol: must be > 0, got nan"),
         ("", ["--out", "."], "output path '.' names a directory"),
         ("", ["--out", ""], "output path '' names a directory"),
+        ("squid.rel_tol = inf\n", [], "squid.rel_tol: must be finite, got inf"),
+        ("", ["--sdr.tol", "inf"], "argument --sdr.tol: must be finite, got inf"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

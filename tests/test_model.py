@@ -1,5 +1,7 @@
 """Tests for the system model: generators, embedding, objective, factor."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,10 @@ class TestAwgn:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             gen_awgn(1, 1, noise_var=0.0, seed=0)
+
+    def test_infinite_variance_rejected(self):
+        with pytest.raises(ValueError, match="noise_var must be finite, got inf"):
+            gen_awgn(2, 2, noise_var=math.inf, seed=0)
 
     def test_sample_variance(self):
         n0 = 0.37

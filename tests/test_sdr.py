@@ -1,12 +1,14 @@
 """Tests for the semidefinite relaxation: lifting, ADMM solver, rounding."""
 
+import math
+
 import numpy as np
 import pytest
 
 from onebit_mimo import (
     SdpProblem,
-    SdpSolution,
     SdrOptions,
+    SolverResult,
     SymbolFrame,
     SystemConfig,
     assemble_T,
@@ -65,7 +67,8 @@ class TestAssembleT:
         lambda: SdrOptions(tol=0.0),
         lambda: SdrOptions(max_iters=0),
         lambda: assemble_T(np.ones((4, 4)), np.ones(6), 2, 0.1, 1.0),
-    ], ids=["tol", "max_iters", "row_mismatch"])
+        lambda: SdrOptions(tol=math.inf),
+    ], ids=["tol", "max_iters", "row_mismatch", "tol_inf"])
     def test_invalid_arguments_rejected(self, call):
         with pytest.raises(ValueError):
             call()
@@ -145,8 +148,9 @@ class TestSolveSdp:
         frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=43)
         sol = solve_sdp(_lifted_problem(frame.s, h, cfg), tol=1e-14,
                         max_iters=600)
-        assert sol.residual_history.shape == (sol.iterations, 2)
-        combined = sol.residual_history.sum(axis=1)
+        assert isinstance(sol, SolverResult)
+        assert sol.history.shape == (sol.iterations, 2)
+        combined = sol.history.sum(axis=1)
         window = 100
         stops = range(0, combined.size - window + 1, window)
         means = [combined[i:i + window].mean() for i in stops]
@@ -176,8 +180,8 @@ class TestExtractRankOne:
         signs = np.where(rng.standard_normal(8) >= 0, 1.0, -1.0)
         bbar = 0.9 * level * signs  # 2BK entries with 1-bit-consistent signs
         lifted = np.concatenate([bbar, [1.0]])
-        sol = SdpSolution(x=np.outer(lifted, lifted), objective=0.0,
-                          iterations=1, converged=True)
+        sol = SolverResult(x=np.outer(lifted, lifted), objective=0.0,
+                           iterations=1, converged=True, history=np.zeros((1, 2)))
         res = extract_rank_one(sol, frame.s, h, cfg)
         xbar = vec(stack_real(res.x))
         assert np.array_equal(np.sign(xbar), signs)
@@ -192,8 +196,8 @@ class TestExtractRankOne:
         v[-1] = abs(v[-1])
 
         def solution(vv):
-            return SdpSolution(x=np.outer(vv, vv), objective=0.0,
-                               iterations=1, converged=True)
+            return SolverResult(x=np.outer(vv, vv), objective=0.0, iterations=1,
+                                converged=True, history=np.zeros((1, 2)))
 
         plus = extract_rank_one(solution(v), frame.s, h, cfg)
         minus = extract_rank_one(solution(-v), frame.s, h, cfg)
@@ -221,8 +225,8 @@ class TestExtractRankOne:
         cfg = SystemConfig(1, 1, 1, noise_var=0.2)
         h = gen_rayleigh_channel(1, 1, seed=56)
         frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=57)
-        sol = SdpSolution(x=np.eye(3), objective=0.0, iterations=1,
-                          converged=True)
+        sol = SolverResult(x=np.eye(3), objective=0.0, iterations=1,
+                           converged=True, history=np.zeros((1, 2)))
         res = extract_rank_one(sol, frame.s, h, cfg)
         assert "degenerate_eigenvector" in res.flags
 

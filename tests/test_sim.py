@@ -169,7 +169,11 @@ class TestSweep:
                           dict(snr_db=()),
                           dict(trials=0),
                           dict(seed=-1),
-                          dict(stop_after_errors=-1)):
+                          dict(stop_after_errors=-1),
+                          dict(constellation=" 16qam"),
+                          dict(constellation="QPSK"),
+                          dict(precoders=("ZFQ",)),
+                          dict(estimator="BLIND")):
             with pytest.raises(ValueError):
                 self._cfg(**overrides)
 

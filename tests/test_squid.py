@@ -1,9 +1,12 @@
 """Tests for the squared-infinity-norm relaxation and its prox machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from onebit_mimo import (
+    SolverResult,
     SquidOptions,
     SymbolFrame,
     SystemConfig,
@@ -49,7 +52,7 @@ class TestObjective:
         h = gen_rayleigh_channel(2, 3, seed=0)
         frame = SymbolFrame.random(get_constellation("16qam"), 2, 1, seed=1)
         res = squid_relax(real_embed(h), stack_real(frame.s), cfg)
-        assert res.objective_history[0] == pytest.approx(
+        assert res.history[0] == pytest.approx(
             np.sum(np.abs(frame.s) ** 2), rel=1e-12)
 
     def test_equal_magnitude_penalty_collapses_to_l2_form(self):
@@ -64,7 +67,7 @@ class TestObjective:
         s_r = stack_real(0.8 * (1 + 1j) * np.ones((num_ues, num_slots)))
         res = squid_relax(h_r, s_r, cfg,
                           SquidOptions(max_iters=5000, rel_tol=1e-14))
-        b_r = res.b_real
+        b_r = res.x
         assert b_r.shape == (2 * num_antennas, num_slots)
         assert np.allclose(np.abs(b_r), np.abs(b_r[0, 0]), rtol=1e-9, atol=0)
         l2_form = (np.sum((s_r - h_r @ b_r) ** 2)
@@ -80,8 +83,8 @@ class TestObjective:
         h_r, s_r = real_embed(h), stack_real(frame.s)
         res = squid_relax(h_r, s_r, cfg, SquidOptions(max_iters=40))
         assert res.objective == pytest.approx(
-            self._relaxed_objective(res.b_real, h_r, s_r, cfg), rel=1e-12)
-        assert res.objective == res.objective_history.min()
+            self._relaxed_objective(res.x, h_r, s_r, cfg), rel=1e-12)
+        assert res.objective == res.history.min()
 
     @pytest.mark.parametrize("momentum", [True, False])
     def test_no_drift_at_paper_size(self, momentum):
@@ -92,9 +95,12 @@ class TestObjective:
         frame = SymbolFrame.random(get_constellation("16qam"), 16, 10, seed=61)
         h_r, s_r = real_embed(h), stack_real(frame.s)
         res = squid_relax(h_r, s_r, cfg, SquidOptions(momentum=momentum))
+        assert isinstance(res, SolverResult)
         assert res.iterations > 50
+        # the history opens with the objective at b = 0
+        assert res.history.shape == (res.iterations + 1,)
         assert res.objective == pytest.approx(
-            self._relaxed_objective(res.b_real, h_r, s_r, cfg), rel=1e-10)
+            self._relaxed_objective(res.x, h_r, s_r, cfg), rel=1e-10)
 
 
 class TestClipLevel:
@@ -189,7 +195,7 @@ class TestSquidRelax:
         h = gen_rayleigh_channel(2, 4, seed=7)
         frame = SymbolFrame.random(get_constellation("qpsk"), 2, 2, seed=8)
         res = squid_relax(real_embed(h), stack_real(frame.s), cfg)
-        assert np.max(np.abs(res.b_real)) < 1e-6
+        assert np.max(np.abs(res.x)) < 1e-6
         assert res.objective == pytest.approx(np.sum(np.abs(frame.s) ** 2),
                                               rel=1e-6)
 
@@ -211,8 +217,8 @@ class TestSquidRelax:
         frame = SymbolFrame.random(get_constellation("16qam"), 4, 3, seed=10)
         res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
                           SquidOptions(momentum=False, max_iters=300))
-        diffs = np.diff(res.objective_history)
-        assert np.all(diffs <= 1e-10 * max(res.objective_history[0], 1.0))
+        diffs = np.diff(res.history)
+        assert np.all(diffs <= 1e-10 * max(res.history[0], 1.0))
 
     def test_never_worse_than_zero_vector(self):
         cfg = SystemConfig.from_snr_db(8, 2, 2, snr_db=0.0)
@@ -249,7 +255,8 @@ class TestSquidRelax:
         lambda: SquidOptions(rel_tol=0.0),
         lambda: squid_relax(np.ones((4, 4)), np.ones((6, 2)),
                             SystemConfig(2, 2, 2, noise_var=0.1)),
-    ], ids=["max_iters", "rel_tol", "shape_mismatch"])
+        lambda: SquidOptions(rel_tol=math.inf),
+    ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf"])
     def test_invalid_arguments_rejected(self, call):
         with pytest.raises(ValueError):
             call()
