@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--seed", type=_at_least(0), default=0, help="master seed")
     add("--out", type=str, default="ber_results.csv", help="output CSV file, in an existing directory")
     add("--stop-after-errors", dest="stop_after_errors", type=_at_least(0), default=0,
-        help="stop a point early after this many bit errors (0 disables)")
+        help="stop a precoder at a point after this many bit errors (0 disables)")
     add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
         help="SQUID iteration budget")
     add("--squid.rel_tol", type=_positive, default=SquidOptions.rel_tol,

@@ -161,8 +161,11 @@ class ChannelMatrix:
 
     @cached_property
     def h_real(self) -> np.ndarray:
-        """Real embedding of H, computed on first use."""
-        return real_embed(self.h)
+        """Real embedding of H, computed on first use; read-only, like a
+        drawn ``h``, since one draw may serve several precoders."""
+        h_real = real_embed(self.h)
+        h_real.flags.writeable = False
+        return h_real
 
 
 @dataclass(frozen=True)

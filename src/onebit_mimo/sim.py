@@ -14,6 +14,12 @@ involves neither the precoder nor the estimator, so all precoders at one
 trials are embarrassingly parallel, and reruns of the same sweep
 configuration are byte-identical.
 
+A sweep is trial-major within each SNR point: it derives a trial's seed
+once and runs that trial for every precoder in turn. :func:`draw_trial_data`
+keeps its last draw, so the second and later precoders of a trial reuse
+the first one's channel, bits and noise; the drawn arrays are read-only,
+so no precoder can alter what the next one sees.
+
 CSV schema (fixed): snr_db,precoder,constellation,estimator,trials,
 bits_total,bit_errors,ber,clamp_flags
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,7 +178,10 @@ class BerRecord:
     """Aggregated error counts for one (SNR, precoder) point.
 
     ``wall_time``, ``failures`` and ``precoder_flags`` are metadata kept out
-    of the CSV so reruns stay byte-identical.
+    of the CSV so reruns stay byte-identical. ``wall_time`` is the time of
+    this precoder's own trials at the point. Each trial's seed derivation
+    and its draw (see :func:`sweep`) are charged to the first precoder still
+    running in that trial.
     """
 
     snr_db: float
@@ -212,16 +222,39 @@ def trial_seed_for(master_seed: int, point_index: int, trial_index: int) -> np.r
     return np.random.SeedSequence((master_seed, point_index, trial_index))
 
 
+#: (key, draw) of the last :func:`draw_trial_data` call; one entry suffices,
+#: because a sweep hands each trial's draw to its precoders one after another
+_last_draw = (None, None)
+_last_draw_lock = threading.Lock()
+
+
+def _entropy_key(entropy):
+    """A seed's entropy as an immutable value: an int, or a tuple of ints."""
+    if isinstance(entropy, (int, tuple)):
+        return entropy
+    return tuple(int(v) for v in np.ravel(entropy))
+
+
 def draw_trial_data(system: SystemConfig, constellation: str,
                     payload_slots: int, trial_seed):
     """Draw (channel, payload frame, noise) for one trial.
 
     Pure function of the seed and the listed arguments; the precoder and
     estimator choices never enter, which is what makes paired-seed
-    comparisons fair.
+    comparisons fair. The last draw is kept and returned again for equal
+    arguments (equal system, constellation, payload slots, seed entropy and
+    spawn key), so its arrays (``h.h``, ``frame.s``, ``frame.bits``,
+    ``noise``) are read-only. Safe to call from several threads at once.
     """
+    global _last_draw
     ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(trial_seed)
+    key = (system, constellation, payload_slots,
+           _entropy_key(ss.entropy), ss.spawn_key)
+    with _last_draw_lock:
+        last_key, last = _last_draw
+    if last_key == key:
+        return last
     # like ss.spawn(3), but stateless: reusing one seed object must not shift
     # the child streams between calls
     chan_seed, bits_seed, noise_seed = (
@@ -232,6 +265,10 @@ def draw_trial_data(system: SystemConfig, constellation: str,
     h = gen_rayleigh_channel(system.num_ues, system.num_bs_antennas, chan_seed)
     frame = SymbolFrame.random(const, system.num_ues, payload_slots, bits_seed)
     noise = gen_awgn(system.num_ues, system.num_slots, system.noise_var, noise_seed)
+    for array in (h.h, frame.s, frame.bits, noise):
+        array.flags.writeable = False
+    with _last_draw_lock:
+        _last_draw = key, (h, frame, noise)
     return h, frame, noise
 
 
@@ -327,45 +364,75 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
 # Sweep driver
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Tally:
+    """Running counts of one precoder at one SNR point."""
+
+    tcfg: TrialConfig
+    bit_errors: int = 0
+    bits_total: int = 0
+    trials: int = 0
+    clamp_flags: int = 0
+    wall_time: float = 0.0
+    failures: int = 0
+    precoder_flags: int = 0
+
+
 def sweep(cfg: SweepConfig) -> list:
     """Run the Monte-Carlo sweep, writing the CSV to ``out`` if it is set.
 
-    Iterates SNR points x precoders, aggregating ``trials`` seeded trials
-    per point; per-trial seeds come from :func:`trial_seed_for`, so a rerun
-    with the same configuration produces byte-identical CSV output. Each
-    point's row is flushed when the point finishes, so an interrupted sweep
-    keeps its finished points. A trial whose precoder raises is counted in
+    Iterates SNR points and, within a point, trials: each trial's seed comes
+    from :func:`trial_seed_for` once, and every precoder still running at
+    the point runs that trial in ``cfg.precoders`` order, reusing the first
+    one's draw. A rerun with the same configuration produces byte-identical
+    CSV output. A trial whose precoder raises is counted in that precoder's
     ``failures`` rather than dropped silently. With ``stop_after_errors``
-    above 0, a point stops accumulating trials once that many bit errors
-    have been seen; 0, the default, runs every trial.
+    above 0, a precoder stops accumulating trials at a point once it has
+    seen that many bit errors, and the others run on; 0, the default, runs
+    every trial. A point ends when its trials run out or no precoder is
+    left; its rows are then written in precoder order and flushed together,
+    so an interrupted sweep keeps its finished points, whole. Records come
+    in the same order, and each one's ``wall_time`` follows
+    :class:`BerRecord`'s rule.
     """
     records = []
     with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
         print(CSV_HEADER, file=out, flush=True)
         for point_index, snr_db in enumerate(cfg.snr_db):
-            for precoder in cfg.precoders:
-                tcfg = cfg.trial_config(snr_db, precoder)
-                t0 = time.perf_counter()
-                errors = bits = clamps = flags = failures = 0
-                for trial_index in range(cfg.trials):
-                    seed = trial_seed_for(cfg.seed, point_index, trial_index)
+            tallies = [_Tally(cfg.trial_config(snr_db, p)) for p in cfg.precoders]
+            running = tallies
+            for trial_index in range(cfg.trials):
+                # the seed derivation and the draw count against the first
+                # precoder of the trial
+                t = time.perf_counter()
+                seed = trial_seed_for(cfg.seed, point_index, trial_index)
+                for tally in running:
+                    tally.trials += 1
                     try:
-                        res = run_trial(tcfg, seed)
+                        res = run_trial(tally.tcfg, seed)
                     except (np.linalg.LinAlgError, ValueError):
-                        failures += 1
-                        continue
-                    errors += int(res.bit_errors.sum())
-                    bits += res.bits_total
-                    clamps += res.clamp_flags
-                    flags += res.precoder_flags
-                    if 0 < cfg.stop_after_errors <= errors:
-                        break
-                records.append(BerRecord(
-                    snr_db=snr_db, precoder=precoder,
-                    constellation=cfg.constellation, estimator=cfg.estimator,
-                    bit_errors=errors, bits_total=bits, trials=trial_index + 1,
-                    clamp_flags=clamps, wall_time=time.perf_counter() - t0,
-                    failures=failures, precoder_flags=flags,
-                ))
-                print(records[-1].csv_row(), file=out, flush=True)
+                        tally.failures += 1
+                    else:
+                        tally.bit_errors += int(res.bit_errors.sum())
+                        tally.bits_total += res.bits_total
+                        tally.clamp_flags += res.clamp_flags
+                        tally.precoder_flags += res.precoder_flags
+                    now = time.perf_counter()
+                    tally.wall_time += now - t
+                    t = now
+                running = [tally for tally in running
+                           if not 0 < cfg.stop_after_errors <= tally.bit_errors]
+                if not running:
+                    break
+            point = [BerRecord(
+                snr_db=snr_db, precoder=tally.tcfg.precoder,
+                constellation=cfg.constellation, estimator=cfg.estimator,
+                bit_errors=tally.bit_errors, bits_total=tally.bits_total,
+                trials=tally.trials, clamp_flags=tally.clamp_flags,
+                wall_time=tally.wall_time, failures=tally.failures,
+                precoder_flags=tally.precoder_flags,
+            ) for tally in tallies]
+            records.extend(point)
+            out.write("".join(f"{r.csv_row()}\n" for r in point))
+            out.flush()
     return records

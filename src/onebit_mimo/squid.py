@@ -9,11 +9,12 @@ equal-magnitude constraints leaves the convex program
 which this module solves with an accelerated proximal-gradient method:
 gradient steps on the least-squares term, exact proximal steps on the
 squared-infinity-norm penalty (a clip at a level found by Newton and
-Michelot steps, warm-started from the previous iteration's level), step
-size 1/L with L = 2 sigma_max(H_R)^2, the exact Lipschitz constant of the
-gradient (I_K kron H_R has the singular values of H_R). Each iteration
-takes one product with the per-slot embedded channel and one with its
-transpose; the block matrix I_K kron H_R is never formed.
+Michelot steps, warm-started from the previous iteration's level plus its
+last change), step size 1/L with L = 2 sigma_max(H_R)^2, the exact
+Lipschitz constant of the gradient (I_K kron H_R has the singular values
+of H_R). Each iteration takes one product with the per-slot embedded
+channel and one with its transpose; the block matrix I_K kron H_R is never
+formed.
 :func:`squid_relax` returns a :class:`~onebit_mimo.model.SolverResult`.
 :func:`squid_precode` rounds the relaxed solution to the 1-bit set, refines
 the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and returns the
@@ -60,13 +61,17 @@ def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
     """Root t of phi(t) = sum_i max(m_i - t, 0) - 2 tau t for tau > 0.
 
     phi is convex and decreasing, so one Newton step from any ``guess`` lands
-    at or below the root, keeping every entry above the root. Michelot steps
-    t = sum(active) / (2 tau + |active|) on that shrinking set reach the root
-    exactly, in few passes when ``guess`` is close to it.
+    at or below the root, keeping every entry above the root. When it lands
+    above ``guess``, the entries above ``guess`` already hold all it keeps,
+    so a guess below the root costs one pass over ``mags``, not two.
+    Michelot steps t = sum(active) / (2 tau + |active|) on that shrinking
+    set reach the root exactly, in few passes when ``guess`` is close to it.
     """
     mags = mags.ravel()  # compress selects faster than a boolean index
     above = mags.compress(mags > guess)
-    active = mags.compress(mags >= above.sum() / (2.0 * tau + above.size))
+    t = above.sum() / (2.0 * tau + above.size)
+    pool = above if t > guess else mags
+    active = pool.compress(pool >= t)
     while True:
         t = active.sum() / (2.0 * tau + active.size)
         keep = active >= t
@@ -130,7 +135,7 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     step_t = (2.0 * gamma) * h_r.T
     b = np.zeros((2 * num_antennas, num_slots))
     y, resid, resid_y = b, -s_r, -s_r
-    t_momentum, level = 1.0, 0.0
+    t_momentum, level, level_change = 1.0, 0.0, 0.0
     f_cur = float(np.vdot(s_r, s_r))
     history = [f_cur]
     b_best, f_best = b, f_cur
@@ -139,7 +144,10 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
 
     for iterations in range(1, opts.max_iters + 1):
         stepped = y - step_t @ resid_y
-        level = _clip_level(np.abs(stepped), tau, level)
+        # the level mostly shrinks, so the last change predicts the next
+        level_next = _clip_level(np.abs(stepped), tau,
+                                 max(level + level_change, 0.0))
+        level, level_change = level_next, level_next - level
         b_next = np.clip(stepped, -level, level)  # its inf-norm is level
 
         resid_next = (h_r @ b_next) - s_r

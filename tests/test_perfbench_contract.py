@@ -59,6 +59,22 @@ def test_traced_sweep_sees_every_layer(spans, estimator):
     assert all(type(c) is int for c in clamps)
 
 
+def test_each_trial_span_holds_exactly_one_draw(spans):
+    # the tracer starts a trial at every span opened with none open, so a
+    # draw made outside run_trial would count as a trial of its own
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        sweep(SweepConfig(
+            num_bs_antennas=4, num_ues=2, num_slots=3, snr_db=(0.0, 6.0),
+            constellation="qpsk", precoders=PRECODERS, estimator="blind",
+            trials=3, seed=5))
+    trial_spans = {i for i, s in enumerate(tracer.spans) if s.name == "sim.trial"}
+    draws = [s for s in tracer.spans if s.name == "model.draw"]
+    assert len(trial_spans) == 2 * 3 * len(PRECODERS)
+    assert all(s.parent in trial_spans for s in draws)
+    assert sorted(s.parent for s in draws) == sorted(trial_spans)
+
+
 def test_drawn_channel_keeps_its_real_embedding():
     system = SystemConfig.from_snr_db(8, 3, 2, snr_db=0.0)
     h, _, _ = draw_trial_data(system, "qpsk", 2, np.random.SeedSequence(1))

@@ -1,6 +1,10 @@
 """Tests for the Monte-Carlo harness: trials, exhaustive oracle, sweeps, CSV."""
 
+import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +54,103 @@ class TestTrialSeeding:
         assert np.array_equal(h1.h, h2.h)
         assert np.array_equal(f1.bits, f2.bits)
         assert np.array_equal(n1, n2)
+
+
+def _draw_arrays(system, constellation, payload_slots, seed):
+    h, frame, noise = draw_trial_data(system, constellation, payload_slots, seed)
+    return h.h, frame.s, frame.bits, noise
+
+
+def _cold_draw(system, constellation, payload_slots, seed):
+    """A draw made right after a different one, so the cache cannot serve it."""
+    draw_trial_data(_tiny_system(snr_db=-3.0), "8psk", 1, 12345)
+    return [a.copy() for a in _draw_arrays(system, constellation,
+                                           payload_slots, seed)]
+
+
+def _assert_same(arrays, expected):
+    assert all(np.array_equal(a, e) for a, e in zip(arrays, expected, strict=True))
+
+
+class TestDrawCache:
+    """draw_trial_data keeps its last draw; that must never show."""
+
+    def test_arrays_are_read_only(self):
+        h, frame, noise = draw_trial_data(_tiny_system(), "16qam", 2,
+                                          trial_seed_for(1, 0, 0))
+        for array in (h.h, h.h_real, frame.s, frame.bits, noise):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_repeat_call_returns_equal_data(self):
+        seed = trial_seed_for(1, 0, 0)
+        expected = _cold_draw(_tiny_system(), "16qam", 2, seed)
+        _assert_same(_draw_arrays(_tiny_system(), "16qam", 2, seed), expected)
+        _assert_same(_draw_arrays(_tiny_system(), "16qam", 2, seed), expected)
+
+    @pytest.mark.parametrize("index, value", (
+        (0, _tiny_system(snr_db=3.0)), (1, "qpsk"), (2, 1),
+    ), ids=("noise_var", "constellation", "payload_slots"))
+    def test_one_changed_argument_draws_afresh(self, index, value):
+        base = (_tiny_system(), "16qam", 2, trial_seed_for(1, 0, 0))
+        changed = list(base)
+        changed[index] = value
+        expected = _cold_draw(*changed)
+        first = [a.copy() for a in _draw_arrays(*base)]  # cached next
+        fresh = _draw_arrays(*changed)
+        _assert_same(fresh, expected)
+        assert not all(a.shape == f.shape and np.array_equal(a, f)
+                       for a, f in zip(fresh, first))
+
+    def test_equal_seeds_in_any_form_give_equal_values(self):
+        system = _tiny_system()
+        expected = _cold_draw(system, "qpsk", 2, np.random.SeedSequence(5))
+        for seed in (np.random.SeedSequence(5), 5, np.int64(5),
+                     np.random.SeedSequence(5)):
+            _assert_same(_draw_arrays(system, "qpsk", 2, seed), expected)
+        expected = _cold_draw(system, "qpsk", 2, trial_seed_for(1, 2, 3))
+        for seed in ((1, 2, 3), [1, 2, 3], np.array([1, 2, 3]),
+                     np.random.SeedSequence([1, 2, 3])):
+            _assert_same(_draw_arrays(system, "qpsk", 2, seed), expected)
+
+    def test_unhashable_seed_changed_in_place_draws_afresh(self):
+        system = _tiny_system()
+        seed = [1, 2]
+        first = [a.copy() for a in _draw_arrays(system, "qpsk", 2, seed)]
+        seed[0] = 3
+        expected = _cold_draw(system, "qpsk", 2, [3, 2])
+        draw_trial_data(system, "qpsk", 2, [1, 2])
+        fresh = _draw_arrays(system, "qpsk", 2, seed)
+        _assert_same(fresh, expected)
+        assert not np.array_equal(fresh[0], first[0])
+
+    def test_threads_drawing_at_once_get_their_own_data(self):
+        system = _tiny_system()
+        seeds = [trial_seed_for(4, 0, t) for t in range(3)]
+        expected = [_cold_draw(system, "16qam", 2, seed) for seed in seeds]
+        wrong = []
+
+        def draw_many(offset):
+            for i in range(200):
+                k = (i + offset) % len(seeds)
+                got = _draw_arrays(system, "16qam", 2, seeds[k])
+                if not all(np.array_equal(a, e) for a, e in zip(got, expected[k])):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw_many, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestRunTrial:
@@ -208,6 +309,69 @@ class TestSweep:
         with pytest.raises(KeyboardInterrupt):
             sweep(self._cfg(precoders=("zfq",), out=cut))
         assert cut.read_bytes() == finished  # the header and point 0's row
+
+    @staticmethod
+    def _per_precoder(cfg):
+        """The records of one single-precoder sweep per precoder, point-major."""
+        alone = [sweep(dataclasses.replace(cfg, precoders=(p,)))
+                 for p in cfg.precoders]
+        return [rows[point] for point in range(len(cfg.snr_db)) for rows in alone]
+
+    @pytest.mark.parametrize("overrides", (
+        # zfq reaches the error count at -10 dB first and squid runs on
+        dict(snr_db=(-10.0, 6.0), trials=20, stop_after_errors=30),
+        # bruteforce is over its guard, so each of its trials fails first
+        dict(num_bs_antennas=16, precoders=("bruteforce", "zfq"), trials=4),
+    ), ids=("stop_after_errors", "failing_precoder"))
+    def test_shared_draw_matches_single_precoder_sweeps(self, overrides):
+        cfg = self._cfg(**overrides)
+        together = sweep(cfg)
+        alone = self._per_precoder(cfg)
+        assert ([dataclasses.replace(r, wall_time=0.0) for r in together]
+                == [dataclasses.replace(r, wall_time=0.0) for r in alone])
+        assert records_to_csv(together) == records_to_csv(alone)
+        if cfg.stop_after_errors:
+            zfq, squid = together[:2]
+            assert zfq.trials < squid.trials < cfg.trials
+        else:
+            assert together[0].failures == cfg.trials
+            assert together[1].failures == 0 and together[1].bits_total > 0
+
+    def test_interrupt_keeps_whole_points_of_every_precoder(self, tmp_path,
+                                                            monkeypatch):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        cfg = self._cfg(precoders=("zfq", "mrtq", "squid"))
+        sweep(dataclasses.replace(cfg, out=full))
+        finished = b"".join(full.read_bytes().splitlines(keepends=True)[:4])
+        calls = []
+        uninterrupted = sim.run_trial
+
+        def interrupt_in_point_1(tcfg, seed):
+            calls.append(tcfg.precoder)
+            if len(calls) == 3 * 3 + 3 + 2:  # point 1, second trial, mrtq
+                assert tcfg.precoder == "mrtq"
+                raise KeyboardInterrupt
+            return uninterrupted(tcfg, seed)
+
+        monkeypatch.setattr(sim, "run_trial", interrupt_in_point_1)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(dataclasses.replace(cfg, out=cut))
+        assert cut.read_bytes() == finished  # the header and point 0's rows
+
+    def test_wall_time_is_each_precoders_own(self, monkeypatch):
+        # sleeps stand in for precoder cost: the precoders' own time lands
+        # in their own records, whatever their order in the trial
+        cost = {"zfq": 0.02, "mrtq": 0.0}
+        uninterrupted = sim.run_trial
+
+        def slow(tcfg, seed):
+            time.sleep(cost[tcfg.precoder])
+            return uninterrupted(tcfg, seed)
+
+        monkeypatch.setattr(sim, "run_trial", slow)
+        zfq, mrtq = sweep(self._cfg(snr_db=(0.0,), precoders=("mrtq", "zfq"),
+                                    trials=3))[::-1]
+        assert zfq.wall_time >= 3 * cost["zfq"] > mrtq.wall_time
 
     def test_csv_schema(self):
         records = sweep(self._cfg(trials=2))

@@ -126,10 +126,16 @@ class TestClipLevel:
             root = sorted_clip_level(mags, tau)
             bisected = float(np.max(np.abs(bisection_prox_sq_inf(v, tau))))
             assert abs(bisected - root) <= 1e-12
-            # a guess above the root must not lose the entries between them
-            for guess in (0.0, 0.5 * root, root, 10.0 * root):
+            # a guess above the root must not lose the entries between them;
+            # one just below it takes the active set from the entries above
+            # it alone, and every guess gives the level from 0 exactly
+            cold = _clip_level(mags, tau, 0.0)
+            for guess in (0.0, 0.5 * root, root, 10.0 * root,
+                          np.nextafter(root, 0.0), root * (1.0 - 1e-9),
+                          root * (1.0 - 1e-3)):
                 t = _clip_level(mags, tau, guess)
                 assert abs(t - root) <= 1e-12 and abs(t - bisected) <= 1e-12
+                assert t == cold
 
 
 class TestProxSqInf:
