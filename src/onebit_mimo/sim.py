@@ -16,9 +16,9 @@ configuration are byte-identical.
 
 A sweep is trial-major within each SNR point: it derives a trial's seed
 once and runs that trial for every precoder in turn. :func:`draw_trial_data`
-keeps its last draw, so the second and later precoders of a trial reuse
-the first one's channel, bits and noise; the drawn arrays are read-only,
-so no precoder can alter what the next one sees.
+keeps its last draw, keyed on the seed object, so the second and later
+precoders of a trial reuse the first one's channel, bits and noise; the
+drawn arrays are read-only, so no precoder can alter what the next one sees.
 
 CSV schema (fixed): snr_db,precoder,constellation,estimator,trials,
 bits_total,bit_errors,ber,clamp_flags
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -173,28 +173,29 @@ class SweepConfig:
                            squid=self.squid, sdr=self.sdr)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BerRecord:
     """Aggregated error counts for one (SNR, precoder) point.
 
-    ``wall_time``, ``failures`` and ``precoder_flags`` are metadata kept out
-    of the CSV so reruns stay byte-identical. ``wall_time`` is the time of
-    this precoder's own trials at the point. Each trial's seed derivation
-    and its draw (see :func:`sweep`) are charged to the first precoder still
-    running in that trial.
+    :func:`sweep` builds each record with zero counts and adds every trial
+    to it in place. ``wall_time``, ``failures`` and ``precoder_flags`` are
+    metadata kept out of the CSV so reruns stay byte-identical.
+    ``wall_time`` is the time of this precoder's own trials at the point.
+    Each trial's seed derivation and its draw (see :func:`sweep`) are
+    charged to the first precoder still running in that trial.
     """
 
     snr_db: float
     precoder: str
     constellation: str
     estimator: str
-    bit_errors: int
-    bits_total: int
-    trials: int
-    clamp_flags: int
-    wall_time: float
-    failures: int
-    precoder_flags: int
+    bit_errors: int = 0
+    bits_total: int = 0
+    trials: int = 0
+    clamp_flags: int = 0
+    wall_time: float = 0.0
+    failures: int = 0
+    precoder_flags: int = 0
 
     @property
     def ber(self) -> float:
@@ -222,39 +223,30 @@ def trial_seed_for(master_seed: int, point_index: int, trial_index: int) -> np.r
     return np.random.SeedSequence((master_seed, point_index, trial_index))
 
 
-#: (key, draw) of the last :func:`draw_trial_data` call; one entry suffices,
-#: because a sweep hands each trial's draw to its precoders one after another
-_last_draw = (None, None)
-_last_draw_lock = threading.Lock()
-
-
-def _entropy_key(entropy):
-    """A seed's entropy as an immutable value: an int, or a tuple of ints."""
-    if isinstance(entropy, (int, tuple)):
-        return entropy
-    return tuple(int(v) for v in np.ravel(entropy))
-
-
 def draw_trial_data(system: SystemConfig, constellation: str,
                     payload_slots: int, trial_seed):
     """Draw (channel, payload frame, noise) for one trial.
 
     Pure function of the seed and the listed arguments; the precoder and
     estimator choices never enter, which is what makes paired-seed
-    comparisons fair. The last draw is kept and returned again for equal
-    arguments (equal system, constellation, payload slots, seed entropy and
-    spawn key), so its arrays (``h.h``, ``frame.s``, ``frame.bits``,
-    ``noise``) are read-only. Safe to call from several threads at once.
+    comparisons fair. A seed that is not a ``SeedSequence`` becomes a new
+    one. The last draw is kept and returned again for the same
+    ``SeedSequence`` object with equal other arguments, so its arrays
+    (``h.h``, ``frame.s``, ``frame.bits``, ``noise``) are read-only, and a
+    ``SeedSequence``'s entropy must not be changed in place once it has
+    drawn. Safe to call from several threads at once.
     """
-    global _last_draw
     ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(trial_seed)
-    key = (system, constellation, payload_slots,
-           _entropy_key(ss.entropy), ss.spawn_key)
-    with _last_draw_lock:
-        last_key, last = _last_draw
-    if last_key == key:
-        return last
+    return _draw(system, constellation, payload_slots, ss)
+
+
+#: one entry suffices, because a sweep hands each trial's seed to its
+#: precoders one after another; a ``SeedSequence`` hashes by identity, and
+#: the cache holds it, so its id cannot be reused while the entry lives
+@lru_cache(maxsize=1)
+def _draw(system: SystemConfig, constellation: str, payload_slots: int,
+          ss: np.random.SeedSequence):
     # like ss.spawn(3), but stateless: reusing one seed object must not shift
     # the child streams between calls
     chan_seed, bits_seed, noise_seed = (
@@ -267,8 +259,6 @@ def draw_trial_data(system: SystemConfig, constellation: str,
     noise = gen_awgn(system.num_ues, system.num_slots, system.noise_var, noise_seed)
     for array in (h.h, frame.s, frame.bits, noise):
         array.flags.writeable = False
-    with _last_draw_lock:
-        _last_draw = key, (h, frame, noise)
     return h, frame, noise
 
 
@@ -364,20 +354,6 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
 # Sweep driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Tally:
-    """Running counts of one precoder at one SNR point."""
-
-    tcfg: TrialConfig
-    bit_errors: int = 0
-    bits_total: int = 0
-    trials: int = 0
-    clamp_flags: int = 0
-    wall_time: float = 0.0
-    failures: int = 0
-    precoder_flags: int = 0
-
-
 def sweep(cfg: SweepConfig) -> list:
     """Run the Monte-Carlo sweep, writing the CSV to ``out`` if it is set.
 
@@ -385,8 +361,10 @@ def sweep(cfg: SweepConfig) -> list:
     from :func:`trial_seed_for` once, and every precoder still running at
     the point runs that trial in ``cfg.precoders`` order, reusing the first
     one's draw. A rerun with the same configuration produces byte-identical
-    CSV output. A trial whose precoder raises is counted in that precoder's
-    ``failures`` rather than dropped silently. With ``stop_after_errors``
+    CSV output. A trial that raises ``np.linalg.LinAlgError`` or
+    ``ValueError`` is counted in that precoder's ``failures`` rather than
+    dropped silently; any other exception propagates and ends the run,
+    keeping the points already written. With ``stop_after_errors``
     above 0, a precoder stops accumulating trials at a point once it has
     seen that many bit errors, and the others run on; 0, the default, runs
     every trial. A point ends when its trials run out or no precoder is
@@ -399,39 +377,32 @@ def sweep(cfg: SweepConfig) -> list:
     with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
         print(CSV_HEADER, file=out, flush=True)
         for point_index, snr_db in enumerate(cfg.snr_db):
-            tallies = [_Tally(cfg.trial_config(snr_db, p)) for p in cfg.precoders]
-            running = tallies
+            point = [BerRecord(snr_db, p, cfg.constellation, cfg.estimator)
+                     for p in cfg.precoders]
+            running = [(r, cfg.trial_config(snr_db, r.precoder)) for r in point]
             for trial_index in range(cfg.trials):
                 # the seed derivation and the draw count against the first
                 # precoder of the trial
                 t = time.perf_counter()
                 seed = trial_seed_for(cfg.seed, point_index, trial_index)
-                for tally in running:
-                    tally.trials += 1
+                for r, tcfg in running:
+                    r.trials += 1
                     try:
-                        res = run_trial(tally.tcfg, seed)
+                        res = run_trial(tcfg, seed)
                     except (np.linalg.LinAlgError, ValueError):
-                        tally.failures += 1
+                        r.failures += 1
                     else:
-                        tally.bit_errors += int(res.bit_errors.sum())
-                        tally.bits_total += res.bits_total
-                        tally.clamp_flags += res.clamp_flags
-                        tally.precoder_flags += res.precoder_flags
+                        r.bit_errors += int(res.bit_errors.sum())
+                        r.bits_total += res.bits_total
+                        r.clamp_flags += res.clamp_flags
+                        r.precoder_flags += res.precoder_flags
                     now = time.perf_counter()
-                    tally.wall_time += now - t
+                    r.wall_time += now - t
                     t = now
-                running = [tally for tally in running
-                           if not 0 < cfg.stop_after_errors <= tally.bit_errors]
+                running = [(r, tcfg) for r, tcfg in running
+                           if not 0 < cfg.stop_after_errors <= r.bit_errors]
                 if not running:
                     break
-            point = [BerRecord(
-                snr_db=snr_db, precoder=tally.tcfg.precoder,
-                constellation=cfg.constellation, estimator=cfg.estimator,
-                bit_errors=tally.bit_errors, bits_total=tally.bits_total,
-                trials=tally.trials, clamp_flags=tally.clamp_flags,
-                wall_time=tally.wall_time, failures=tally.failures,
-                precoder_flags=tally.precoder_flags,
-            ) for tally in tallies]
             records.extend(point)
             out.write("".join(f"{r.csv_row()}\n" for r in point))
             out.flush()

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import one_bit_quantize
 from .model import (
     PrecodeResult,
     SolverResult,
@@ -223,7 +222,7 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
                   opts: SquidOptions = SquidOptions()) -> PrecodeResult:
     """Relax, round to the 1-bit transmit set, recover the precoding factor.
 
-    Rounding quantizes the de-embedded relaxed solution
+    Rounding quantizes the real-embedded relaxed solution
     entrywise (sign rule, sign(0) = +1) and then runs a deterministic
     greedy sign-flip refinement of the frame MSE. The factor is recomputed
     as the conditional optimum for the final frame rather than read off the
@@ -233,9 +232,9 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
     h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
     relaxed = squid_relax(h_r, s_r, cfg, opts)
-    x = one_bit_quantize(unstack_real(relaxed.x), cfg.transmit_power)
-    x = unstack_real(_greedy_sign_refine(stack_real(x), h_r, s_r,
-                                         cfg.noise_var, cfg.quant_level))
+    level = cfg.quant_level
+    x_r = np.where(relaxed.x >= 0, level, -level)
+    x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg.noise_var, level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     flags = () if relaxed.converged else ("squid_nonconverged",)
     return PrecodeResult(x=x, beta=beta, flags=flags)

@@ -373,6 +373,19 @@ class TestSweep:
                                     trials=3))[::-1]
         assert zfq.wall_time >= 3 * cost["zfq"] > mrtq.wall_time
 
+    def test_each_trial_draws_its_channel_once(self, monkeypatch):
+        draws = []
+        uncounted = sim.gen_rayleigh_channel
+
+        def counted(*args):
+            draws.append(args)
+            return uncounted(*args)
+
+        monkeypatch.setattr(sim, "gen_rayleigh_channel", counted)
+        records = sweep(self._cfg(precoders=("zfq", "mrtq", "squid")))
+        assert [r.trials for r in records] == [3] * 6
+        assert len(draws) == 2 * 3  # points x trials, whatever the precoders
+
     def test_csv_schema(self):
         records = sweep(self._cfg(trials=2))
         text = records_to_csv(records)
