@@ -3,12 +3,12 @@
 Library layout:
 
 - :mod:`onebit_mimo.model` - system configuration, channel/noise generation,
-  real embedding, column-major vec/unvec, the shared frame-MSE objective,
+  real embedding, vec/unvec, 1-bit rounding, the shared frame-MSE objective,
   the result types of the precoders and of their relaxation solvers
 - :mod:`onebit_mimo.constellations` - Gray-labeled constellation tables,
   modulation, minimum-distance detection
-- :mod:`onebit_mimo.linear` - ZF/MRT matrices, the 1-bit quantizer and the
-  linear-quantized baseline
+- :mod:`onebit_mimo.linear` - ZF/MRT matrices and the linear-quantized
+  baseline
 - :mod:`onebit_mimo.squid` - squared-infinity-norm convex relaxation solved
   by accelerated proximal gradient
 - :mod:`onebit_mimo.sdr` - semidefinite relaxation: the K-slot lift, a
@@ -35,7 +35,6 @@ from .gain_estimation import (
 from .linear import (
     linear_quantized_precode,
     mrt_matrix,
-    one_bit_quantize,
     zf_matrix,
 )
 from .model import (
@@ -47,6 +46,7 @@ from .model import (
     apply_channel,
     gen_awgn,
     gen_rayleigh_channel,
+    one_bit_quantize,
     optimal_beta_for,
     qp_objective,
     real_embed,

@@ -2,22 +2,27 @@
 
 Linear-quantized precoding runs a classical linear precoder P (ZF or MRT,
 picked by ``sim.PRECODERS``) and pushes each antenna output through the
-1-bit DACs:
+1-bit DACs (:func:`~onebit_mimo.model.one_bit_quantize`):
 
-    x[k] = sqrt(P/(2B)) * (sign(Re{P s[k]}) + j sign(Im{P s[k]})).
+    x[k] = sqrt(P/(2B)) * (sign(Re{P s[k]}) + j sign(Im{P s[k]})),
 
-The signum convention is sign(a) = +1 for a >= 0, applied componentwise.
-Any scaling of the linear precoder cancels in the sign, so no normalization
-is applied before quantization.
+with sign(a) = +1 for a >= 0, applied componentwise. Any scaling of the
+linear precoder cancels in the sign, so no normalization is applied before
+quantization.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .model import PrecodeResult, SystemConfig, optimal_beta_for
+from .model import (
+    PrecodeResult,
+    SystemConfig,
+    one_bit_quantize,
+    optimal_beta_for,
+    stack_real,
+    unstack_real,
+)
 
 
 def zf_matrix(h) -> np.ndarray:
@@ -32,22 +37,6 @@ def mrt_matrix(h) -> np.ndarray:
     return np.asarray(h, dtype=complex).conj().T
 
 
-def _sgn(a: np.ndarray) -> np.ndarray:
-    # sign(0) = +1 by the global signum convention
-    return np.where(a >= 0, 1.0, -1.0)
-
-
-def one_bit_quantize(z: np.ndarray, transmit_power: float) -> np.ndarray:
-    """Quantize each entry to the 1-bit DAC set {+-l +-jl}, l = sqrt(P/(2B)).
-
-    ``z`` is a length-B vector or a B x K frame; B is its leading dimension.
-    The output satisfies ||x[k]||^2 = P for every slot by construction.
-    """
-    z = np.asarray(z, dtype=complex)
-    level = math.sqrt(transmit_power / (2.0 * z.shape[0]))
-    return level * (_sgn(z.real) + 1j * _sgn(z.imag))
-
-
 def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
                              matrix) -> PrecodeResult:
     """Linear precoding with P = matrix(H), then 1-bit quantization.
@@ -56,9 +45,7 @@ def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
     scaling for the quantized frame, which makes this baseline comparable to
     the nonlinear precoders under the common objective.
     """
-    s = np.asarray(s, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    x = one_bit_quantize(matrix(h) @ s, cfg.transmit_power)
+    x = unstack_real(one_bit_quantize(stack_real(matrix(h) @ s), cfg.quant_level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     return PrecodeResult(x=x, beta=beta)
 

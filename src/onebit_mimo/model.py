@@ -2,9 +2,9 @@
 
 Holds the domain types (system configuration, the drawn channel, symbol
 frame, precoder and solver outputs), channel/noise generation, the real
-embedding of complex matrices, column-major vectorization (the K-slot lift
-is :func:`onebit_mimo.sdr.assemble_T`), and the shared mean-square-error
-objective that every precoder (and the exhaustive oracle) minimizes.
+embedding, the 1-bit rounding every precoder ends with, column-major
+vectorization (the K-slot lift is :func:`onebit_mimo.sdr.assemble_T`), and
+the frame mean-square-error objective that every precoder minimizes.
 
 Every function that takes a channel accepts anything ``np.asarray`` turns
 into the complex U x B matrix, a :class:`ChannelMatrix` included.
@@ -12,8 +12,8 @@ into the complex U x B matrix, a :class:`ChannelMatrix` included.
 Conventions
 -----------
 - Downlink: Y = H X + N with H of shape (U, B), X of shape (B, K).
-- Transmit set: every entry of X lies in {+-l +-jl} with l = sqrt(P / (2B)),
-  so each slot satisfies ||x[k]||^2 = P.
+- Transmit set: every entry of X lies in {+-l +-jl} with l = sqrt(P / (2B))
+  (:attr:`SystemConfig.quant_level`), so each slot satisfies ||x[k]||^2 = P.
 - Power: sweeps fix P = 1 and set N0 = 1/SNR (:meth:`SystemConfig.from_snr_db`);
   another P takes a :class:`SystemConfig` built directly.
 - vec() is column-major (column stacking), so vec(A B C) = (C^T kron A) vec(B)
@@ -43,6 +43,14 @@ from .constellations import modulate
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _check_count(name: str, value, low: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy int >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static dimensions and power/noise levels of one downlink setup.
@@ -63,8 +71,8 @@ class SystemConfig:
     transmit_power: float = 1.0
 
     def __post_init__(self):
-        if self.num_bs_antennas < 1 or self.num_ues < 1 or self.num_slots < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("num_bs_antennas", "num_ues", "num_slots"):
+            _check_count(name, getattr(self, name), 1)
         if self.num_bs_antennas < self.num_ues:
             raise ValueError(
                 f"need at least as many BS antennas as UEs, got "
@@ -96,6 +104,17 @@ class SystemConfig:
         if not 0.0 < noise_var < math.inf:
             raise ValueError(f"snr_db = {snr_db} dB gives no finite positive noise variance")
         return cls(num_bs_antennas, num_ues, num_slots, noise_var=noise_var)
+
+
+def one_bit_quantize(z_r: np.ndarray, level: float) -> np.ndarray:
+    """The 1-bit rounding every precoder ends with: +level where z_r >= 0, else -level.
+
+    ``z_r`` is a real embedding (2B x K from :func:`stack_real` or :func:`unvec`)
+    and ``level`` is :attr:`SystemConfig.quant_level`; sign(0) = +1.
+    """
+    if np.iscomplexobj(z_r):
+        raise TypeError("one_bit_quantize takes a real embedding such as stack_real(z)")
+    return np.where(z_r >= 0, level, -level)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ together (all |b_i| share one magnitude) and whose last diagonal entry is
 pinned to 1. The SDP is solved by a self-contained ADMM that alternates a
 closed-form projection onto the affine constraint set with a projection
 onto the PSD cone and returns a :class:`~onebit_mimo.model.SolverResult`;
-a 1-bit frame is then extracted by sign-quantizing the leading eigenvector.
+a 1-bit frame is then extracted by rounding the leading eigenvector
+(:func:`~onebit_mimo.model.one_bit_quantize`).
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
 configuration. The joint K-slot SDP (dimension 2BK+1) is :func:`assemble_T`
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import one_bit_quantize
 from .model import (
     PrecodeResult,
     SolverResult,
     SystemConfig,
+    _check_count,
+    one_bit_quantize,
     optimal_beta_for,
     real_embed,
     stack_real,
@@ -41,12 +43,9 @@ class SdrOptions:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be > 0")
-        if not self.tol < np.inf:
-            raise ValueError(f"tol must be finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,11 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
 
     The global sign is flipped so the homogenization entry is nonnegative
     (it stands for the constant 1), the first 2BK entries are de-vectorized,
-    de-embedded and quantized to {+-l +-jl}, and the precoding factor is the
-    conditional optimum for the rounded frame. A (near-)degenerate leading
-    eigenvalue is resolved deterministically by the eigensolver's ordering
-    and flagged.
+    quantized (:func:`one_bit_quantize`) and de-embedded to a frame in
+    {+-l +-jl}, and the precoding factor is the conditional optimum for the
+    rounded frame. A (near-)degenerate leading eigenvalue is resolved
+    deterministically by the eigensolver's ordering and flagged.
     """
-    s = np.asarray(s, dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(sol.x)
     leading = eigvecs[:, -1]
     flags = []
@@ -192,11 +190,9 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
     if leading[-1] < 0:
         leading = -leading
 
-    n_vec = leading.size - 1
-    num_antennas = cfg.num_bs_antennas
-    num_slots = n_vec // (2 * num_antennas)
-    b = unstack_real(unvec(leading[:n_vec], 2 * num_antennas, num_slots))
-    x = one_bit_quantize(b, cfg.transmit_power)
+    rows = 2 * cfg.num_bs_antennas
+    b_r = unvec(leading[:-1], rows, (leading.size - 1) // rows)
+    x = unstack_real(one_bit_quantize(b_r, cfg.quant_level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     if not sol.converged:
         flags.append("sdr_nonconverged")
@@ -212,7 +208,6 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
     optimum for the full rounded frame.
     """
     s = np.asarray(s, dtype=complex)
-    h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
     flags: list[str] = []
     columns = []

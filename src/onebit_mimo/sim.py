@@ -43,14 +43,17 @@ from .model import (
     PrecodeResult,
     SymbolFrame,
     SystemConfig,
+    _check_count,
     apply_channel,
     gen_awgn,
     gen_rayleigh_channel,
+    one_bit_quantize,
     optimal_beta_for,
     qp_objective,
     real_embed,
     stack_real,
     unstack_real,
+    unvec,
 )
 from .sdr import SdrOptions, sdr_precode
 from .squid import SquidOptions, squid_precode
@@ -125,8 +128,8 @@ class TrialResult:
 class SweepConfig:
     """A grid of SNR points x precoders at one system size and P = 1.
 
-    Construction validates every setting, so a bad precoder id, estimator,
-    constellation, SNR or system size fails before any trial runs.
+    Construction validates every setting (ids, counts, SNRs, output path),
+    so a bad one or a repeated precoder fails before any trial runs.
     """
 
     num_bs_antennas: int
@@ -150,12 +153,11 @@ class SweepConfig:
             raise ValueError("snr_db list must be nonempty")
         if not self.precoders:
             raise ValueError("precoder list must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.stop_after_errors < 0:
-            raise ValueError("stop_after_errors must be >= 0 (0 disables)")
+        if repeated := [p for p in self.precoders if self.precoders.count(p) > 1]:
+            raise ValueError(f"precoder {repeated[0]!r} is listed more than once")
+        _check_count("trials", self.trials, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("stop_after_errors", self.stop_after_errors, 0)  # 0 disables
         if self.out is not None and Path(self.out).is_dir():
             raise ValueError(f"output path {str(self.out)!r} names a directory, not a file")
         if self.out is not None and not Path(self.out).parent.is_dir():
@@ -304,8 +306,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
     Returns (x, beta, objective).
     """
     s = np.asarray(s, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    num_antennas = h.shape[1]
+    num_antennas = cfg.num_bs_antennas
     num_ues, num_slots = s.shape
     n_bits = 2 * num_antennas * num_slots
     if n_bits > BRUTE_FORCE_GUARD_BITS:
@@ -341,9 +342,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
             best_obj = float(obj[local])
             best_pattern = start + local
 
-    bits = (best_pattern >> bit_weights) & 1
-    signs = 1.0 - 2.0 * bits.astype(float)
-    x = unstack_real((level * signs).reshape(num_slots, 2 * num_antennas).T)
+    signs = 1.0 - 2.0 * ((best_pattern >> bit_weights) & 1)
+    x = unstack_real(one_bit_quantize(unvec(signs, 2 * num_antennas, num_slots), level))
     # recompute through the shared routines so comparisons with heuristic
     # precoders follow identical floating-point paths
     beta_star = optimal_beta_for(x, s, h, cfg.noise_var)

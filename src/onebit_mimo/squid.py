@@ -16,9 +16,10 @@ of H_R). Each iteration takes one product with the per-slot embedded
 channel and one with its transpose; the block matrix I_K kron H_R is never
 formed.
 :func:`squid_relax` returns a :class:`~onebit_mimo.model.SolverResult`.
-:func:`squid_precode` rounds the relaxed solution to the 1-bit set, refines
-the signs greedily for up to ``REFINEMENT_ROUNDS`` rounds, and returns the
-frame with its conditionally optimal precoding factor.
+:func:`squid_precode` rounds the relaxed solution to the 1-bit set
+(:func:`one_bit_quantize`), refines the signs greedily for up to
+``REFINEMENT_ROUNDS`` rounds, and returns the frame with its conditionally
+optimal precoding factor.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .model import (
     PrecodeResult,
     SolverResult,
     SystemConfig,
+    _check_count,
+    one_bit_quantize,
     optimal_beta_for,
     real_embed,
     stack_real,
@@ -48,12 +51,9 @@ class SquidOptions:
     momentum: bool = True
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be > 0")
-        if not self.rel_tol < np.inf:
-            raise ValueError(f"rel_tol must be finite, got {self.rel_tol}")
+        _check_count("max_iters", self.max_iters, 1)
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
 
 def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
@@ -222,18 +222,16 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
                   opts: SquidOptions = SquidOptions()) -> PrecodeResult:
     """Relax, round to the 1-bit transmit set, recover the precoding factor.
 
-    Rounding quantizes the real-embedded relaxed solution
-    entrywise (sign rule, sign(0) = +1) and then runs a deterministic
-    greedy sign-flip refinement of the frame MSE. The factor is recomputed
-    as the conditional optimum for the final frame rather than read off the
+    Rounding quantizes the real-embedded relaxed solution entrywise
+    (:func:`one_bit_quantize`), then a deterministic greedy sign-flip
+    refinement lowers the frame MSE. The factor is recomputed as the
+    conditional optimum for the final frame rather than read off the
     relaxed iterate, which is never worse under the frame MSE.
     """
-    s = np.asarray(s, dtype=complex)
-    h = np.asarray(h, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
     relaxed = squid_relax(h_r, s_r, cfg, opts)
     level = cfg.quant_level
-    x_r = np.where(relaxed.x >= 0, level, -level)
+    x_r = one_bit_quantize(relaxed.x, level)
     x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg.noise_var, level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     flags = () if relaxed.converged else ("squid_nonconverged",)

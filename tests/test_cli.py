@@ -207,6 +207,7 @@ class TestMain:
         ("", ["--out", ""], "output path '' names a directory"),
         ("squid.rel_tol = inf\n", [], "squid.rel_tol: must be finite, got inf"),
         ("", ["--sdr.tol", "inf"], "argument --sdr.tol: must be finite, got inf"),
+        ("", ["--precoder", "zfq,zfq"], "precoder 'zfq' is listed more than once"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

@@ -13,6 +13,8 @@ from onebit_mimo import (
     mrt_matrix,
     one_bit_quantize,
     qp_objective,
+    stack_real,
+    unstack_real,
     zf_matrix,
 )
 
@@ -59,14 +61,21 @@ class TestMrtMatrix:
         assert np.array_equal(mrt_matrix(h), h.conj().T)
 
 
+def quantize(z, transmit_power):
+    """The complex frame z rounded to its system's 1-bit set, B = len(z)."""
+    level = SystemConfig(len(z), 1, 1, noise_var=1.0,
+                         transmit_power=transmit_power).quant_level
+    return unstack_real(one_bit_quantize(stack_real(z), level))
+
+
 class TestOneBitQuantize:
     def test_worked_example(self):
         z = np.array([1 - 1j, -2 + 3j])
-        x = one_bit_quantize(z, transmit_power=1.0)  # l = 1/2 for B = 2
+        x = quantize(z, transmit_power=1.0)  # l = 1/2 for B = 2
         assert np.array_equal(x, np.array([0.5 - 0.5j, -0.5 + 0.5j]))
 
     def test_zero_maps_to_positive_corner(self):
-        x = one_bit_quantize(np.zeros(4, dtype=complex), transmit_power=2.0)
+        x = quantize(np.zeros(4, dtype=complex), transmit_power=2.0)
         level = np.sqrt(2.0 / 8.0)
         assert np.allclose(x, level * (1 + 1j) * np.ones(4), rtol=0, atol=0)
 
@@ -74,14 +83,18 @@ class TestOneBitQuantize:
         rng = np.random.default_rng(3)
         for power in (0.5, 1.0, 4.0):
             z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-            x = one_bit_quantize(z, power)
+            x = quantize(z, power)
             assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), power, rtol=1e-14)
 
     def test_idempotence(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        x = one_bit_quantize(z, 1.0)
-        assert np.array_equal(one_bit_quantize(x, 1.0), x)
+        x = quantize(z, 1.0)
+        assert np.array_equal(quantize(x, 1.0), x)
+
+    def test_complex_input_rejected(self):
+        with pytest.raises(TypeError):
+            one_bit_quantize(np.array([1 - 1j, -2 + 3j]), 0.5)
 
 
 class TestLinearQuantizedPrecode:

@@ -65,6 +65,10 @@ class TestSystemConfig:
         dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=np.inf),
         dict(num_bs_antennas=2, num_ues=1, num_slots=1, noise_var=0.1,
              transmit_power=np.inf),
+        dict(num_bs_antennas=4.5, num_ues=1, num_slots=1, noise_var=0.1),
+        dict(num_bs_antennas=2, num_ues=1.0, num_slots=1, noise_var=0.1),
+        dict(num_bs_antennas=2, num_ues=1, num_slots=np.float64(2.0), noise_var=0.1),
+        dict(num_bs_antennas=2, num_ues=1, num_slots=True, noise_var=0.1),
     ])
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -300,8 +304,8 @@ class TestFrameInvariants:
         cfg = SystemConfig(8, 2, 4, noise_var=0.1, transmit_power=3.0)
         rng = np.random.default_rng(10)
         z = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        x = one_bit_quantize(z, cfg.transmit_power)
         level = cfg.quant_level
+        x = unstack_real(one_bit_quantize(stack_real(z), level))
         assert np.all(np.isin(x.real, [level, -level]))
         assert np.all(np.isin(x.imag, [level, -level]))
         power = np.sum(np.abs(x) ** 2, axis=0)
@@ -312,7 +316,7 @@ class TestFrameInvariants:
         rng = np.random.default_rng(11)
         cfg = SystemConfig(4, 2, 3, noise_var=0.2, transmit_power=1.0)
         z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        x = one_bit_quantize(z, cfg.transmit_power)
+        x = unstack_real(one_bit_quantize(stack_real(z), cfg.quant_level))
         h = gen_rayleigh_channel(2, 4, seed=12)
         s = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         beta = 0.8

@@ -68,7 +68,8 @@ class TestAssembleT:
         lambda: SdrOptions(max_iters=0),
         lambda: assemble_T(np.ones((4, 4)), np.ones(6), 2, 0.1, 1.0),
         lambda: SdrOptions(tol=math.inf),
-    ], ids=["tol", "max_iters", "row_mismatch", "tol_inf"])
+        lambda: SdrOptions(max_iters=100.0),
+    ], ids=["tol", "max_iters", "row_mismatch", "tol_inf", "max_iters_float"])
     def test_invalid_arguments_rejected(self, call):
         with pytest.raises(ValueError):
             call()

@@ -209,6 +209,23 @@ class TestRunTrial:
             assert res.x.shape == (2, 1)
         assert PRECODER_IDS == tuple(PRECODERS)
 
+    @pytest.mark.parametrize("power", [1.0, 3.0])
+    @pytest.mark.parametrize("precoder", PRECODER_IDS)
+    def test_every_frame_lies_on_the_transmit_set(self, precoder, power):
+        # B=3, K=2 keeps the oracle's 4^(BK) = 2^12 search inside its guard
+        system = SystemConfig(3, 2, 2, noise_var=0.3, transmit_power=power)
+        cfg = TrialConfig(system=system, constellation="16qam", precoder=precoder)
+        level = system.quant_level
+        for trial in range(3):
+            h, frame, _ = draw_trial_data(system, "16qam", 2, trial_seed_for(21, 0, trial))
+            x = PRECODERS[precoder](frame.s, h, cfg).x
+            assert x.shape == (3, 2)
+            # entries equal +-l +-jl bit for bit, not approximately
+            assert np.all((x.real == level) | (x.real == -level))
+            assert np.all((x.imag == level) | (x.imag == -level))
+            power_per_slot = np.sum(np.abs(x) ** 2, axis=0)
+            assert np.allclose(power_per_slot, power, rtol=0, atol=1e-14)
+
     def test_unknown_ids_rejected(self):
         with pytest.raises(ValueError):
             TrialConfig(system=_tiny_system(), precoder="dirty-paper")
@@ -274,9 +291,25 @@ class TestSweep:
                           dict(constellation=" 16qam"),
                           dict(constellation="QPSK"),
                           dict(precoders=("ZFQ",)),
-                          dict(estimator="BLIND")):
+                          dict(estimator="BLIND"),
+                          dict(precoders=("zfq", "squid", "zfq"))):
             with pytest.raises(ValueError):
                 self._cfg(**overrides)
+        # a non-integral count would only fail inside the first trial
+        for field, value in (("num_bs_antennas", 4.5), ("num_ues", 2.0),
+                             ("num_slots", 2.0), ("trials", 2.5), ("seed", 1.5),
+                             ("stop_after_errors", 10.0), ("trials", True)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                self._cfg(**{field: value})
+        with pytest.raises(ValueError, match="precoder 'zfq' is listed more than once"):
+            self._cfg(precoders=("zfq", "zfq"))
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = dict(num_bs_antennas=np.int64(4), num_ues=np.int64(2),
+                      num_slots=np.int64(2), trials=np.int64(3), seed=np.int64(9),
+                      stop_after_errors=np.int64(0))
+        assert ([r.csv_row() for r in sweep(self._cfg(**counts))]
+                == [r.csv_row() for r in sweep(self._cfg())])
 
     def test_single_point_single_trial(self):
         records = sweep(self._cfg(snr_db=(4.0,), precoders=("zfq",), trials=1))

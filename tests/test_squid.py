@@ -262,7 +262,8 @@ class TestSquidRelax:
         lambda: squid_relax(np.ones((4, 4)), np.ones((6, 2)),
                             SystemConfig(2, 2, 2, noise_var=0.1)),
         lambda: SquidOptions(rel_tol=math.inf),
-    ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf"])
+        lambda: SquidOptions(max_iters=2.5),
+    ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float"])
     def test_invalid_arguments_rejected(self, call):
         with pytest.raises(ValueError):
             call()
