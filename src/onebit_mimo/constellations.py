@@ -37,7 +37,6 @@ class Constellation:
     """A symbol set in label order: ``points[c]`` carries the bits ``labels[c]``,
     which spell the integer ``c`` most significant bit first."""
 
-    name: str
     points: np.ndarray          # complex, shape (M,)
     labels: np.ndarray          # uint8, shape (M, m)
 
@@ -62,24 +61,24 @@ def _inverse_gray(order: int) -> np.ndarray:
 def _psk(order: int) -> Constellation:
     angle_index = _inverse_gray(order)
     points = np.exp(1j * (2.0 * np.pi * angle_index / order))
-    return Constellation(f"{order}psk", points, _labels(order))
+    return Constellation(points, _labels(order))
 
 
-def _square(name: str, axis: np.ndarray) -> Constellation:
+def _square(axis: np.ndarray) -> Constellation:
     """Grid whose label (g_i, g_q) sits at axis[g_i] + j axis[g_q], Es = 1."""
     scale = 1.0 / np.sqrt(2.0 * np.mean(axis ** 2))
     points = scale * (axis[:, None] + 1j * axis).ravel()
-    return Constellation(name, points, _labels(axis.size ** 2))
+    return Constellation(points, _labels(axis.size ** 2))
 
 
 def _square_qam(order: int) -> Constellation:
     per_axis = 1 << (order.bit_length() - 1) // 2
     levels = 2.0 * np.arange(per_axis) - (per_axis - 1)
-    return _square(f"{order}qam", levels[_inverse_gray(per_axis)])
+    return _square(levels[_inverse_gray(per_axis)])
 
 
 _REGISTRY = {
-    "qpsk": _square("qpsk", np.array([1.0, -1.0])),
+    "qpsk": _square(np.array([1.0, -1.0])),
     "8psk": _psk(8),
     "16psk": _psk(16),
     "16qam": _square_qam(16),

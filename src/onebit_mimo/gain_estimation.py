@@ -48,14 +48,10 @@ def pilot_mle(y1) -> FactorEstimate:
     pilot sample per UE (a scalar is one UE).
     """
     y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
-    re, im = y1.real, y1.imag
-    # Smith's division, as CPython divides a complex scalar, so the
-    # estimates match the scalar formula bit for bit
+    # numpy divides complex numbers by Smith's method, as CPython divides a
+    # complex scalar, so the estimates match the scalar formula bit for bit
     with np.errstate(divide="ignore", invalid="ignore"):
-        real_major = np.abs(re) >= np.abs(im)
-        ratio = np.where(real_major, im / re, re / im)
-        raw = np.where(real_major, 1.0 / (re + im * ratio),
-                       ratio / (re * ratio + im))
+        raw = np.reciprocal(y1).real
     clamped = (np.abs(y1) < 1e-12) | (raw < EPS_BETA)
     return _checked(np.where(clamped, EPS_BETA, raw), clamped)
 

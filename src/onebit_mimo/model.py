@@ -6,8 +6,7 @@ embedding, the 1-bit rounding every precoder ends with, column-major
 vectorization (the K-slot lift is :func:`onebit_mimo.sdr.assemble_T`), and
 the frame mean-square-error objective that every precoder minimizes.
 
-Every function that takes a channel accepts anything ``np.asarray`` turns
-into the complex U x B matrix, a :class:`ChannelMatrix` included.
+A channel is the complex U x B ndarray H.
 
 Conventions
 -----------
@@ -23,9 +22,8 @@ Conventions
   splittable via ``SeedSequence.spawn``, so trials are reproducible and
   independently parallelizable.
 
-All functions here are pure; values are immutable after construction (a
-:class:`ChannelMatrix` caches its real embedding on first use) and safe to
-share across threads.
+All functions here are pure; values are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -167,16 +165,13 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ChannelMatrix:
-    """Complex downlink channel H (U x B); ``np.asarray`` unwraps it to H."""
+    """A drawn channel ``h`` (U x B) and its real embedding; only the trial draw builds one."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2:
             raise ValueError("channel must be a 2-D matrix")
         self.h = h
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.h, dtype=dtype, copy=copy)
 
     @cached_property
     def h_real(self) -> np.ndarray:
@@ -237,8 +232,8 @@ class SolverResult:
 # Stochastic generators
 # ---------------------------------------------------------------------------
 
-def gen_rayleigh_channel(num_ues: int, num_bs_antennas: int, seed) -> ChannelMatrix:
-    """I.i.d. Rayleigh fading channel, CN(0, 1) per complex entry.
+def gen_rayleigh_channel(num_ues: int, num_bs_antennas: int, seed) -> np.ndarray:
+    """I.i.d. Rayleigh fading channel H (U x B), CN(0, 1) per complex entry.
 
     Deterministic given the seed; each complex entry is built from two
     independent real Gaussians of variance 1/2.
@@ -247,8 +242,7 @@ def gen_rayleigh_channel(num_ues: int, num_bs_antennas: int, seed) -> ChannelMat
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     shape = (num_ues, num_bs_antennas)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return ChannelMatrix(h)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def gen_awgn(num_ues: int, num_slots: int, noise_var: float, seed) -> np.ndarray:

@@ -40,6 +40,7 @@ from .constellations import detect, get_constellation
 from .gain_estimation import blind_estimate, genie_estimate, pilot_mle
 from .linear import linear_quantized_precode
 from .model import (
+    ChannelMatrix,
     PrecodeResult,
     SymbolFrame,
     SystemConfig,
@@ -129,7 +130,8 @@ class SweepConfig:
     """A grid of SNR points x precoders at one system size and P = 1.
 
     Construction validates every setting (ids, counts, SNRs, output path),
-    so a bad one or a repeated precoder fails before any trial runs.
+    so a bad one or a repeated precoder or SNR point (equal in value or in
+    its CSV label) fails before any trial runs.
     """
 
     num_bs_antennas: int
@@ -155,6 +157,11 @@ class SweepConfig:
             raise ValueError("precoder list must be nonempty")
         if repeated := [p for p in self.precoders if self.precoders.count(p) > 1]:
             raise ValueError(f"precoder {repeated[0]!r} is listed more than once")
+        for i, a in enumerate(self.snr_db):
+            # the CSV labels a point {:g}, so equal labels make rows ambiguous
+            if clash := [b for b in self.snr_db[:i] if b == a or f"{b:g}" == f"{a:g}"]:
+                raise ValueError(f"snr_db lists one point twice: {clash[0]!r} and "
+                                 f"{a!r} (CSV labels {clash[0]:g}, {a:g})")
         _check_count("trials", self.trials, 1)
         _check_count("seed", self.seed, 0)
         _check_count("stop_after_errors", self.stop_after_errors, 0)  # 0 disables
@@ -229,7 +236,9 @@ def draw_trial_data(system: SystemConfig, constellation: str,
                     payload_slots: int, trial_seed):
     """Draw (channel, payload frame, noise) for one trial.
 
-    Pure function of the seed and the listed arguments; the precoder and
+    The channel is a :class:`ChannelMatrix`: its ``h`` is the complex U x B
+    array the precoders take, and ``h_real`` its real embedding. Pure
+    function of the seed and the listed arguments; the precoder and
     estimator choices never enter, which is what makes paired-seed
     comparisons fair. A seed that is not a ``SeedSequence`` becomes a new
     one. The last draw is kept and returned again for the same
@@ -259,9 +268,9 @@ def _draw(system: SystemConfig, constellation: str, payload_slots: int,
     h = gen_rayleigh_channel(system.num_ues, system.num_bs_antennas, chan_seed)
     frame = SymbolFrame.random(const, system.num_ues, payload_slots, bits_seed)
     noise = gen_awgn(system.num_ues, system.num_slots, system.noise_var, noise_seed)
-    for array in (h.h, frame.s, frame.bits, noise):
+    for array in (h, frame.s, frame.bits, noise):
         array.flags.writeable = False
-    return h, frame, noise
+    return ChannelMatrix(h), frame, noise
 
 
 def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
@@ -270,8 +279,9 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     const = get_constellation(cfg.constellation)
     pilots, estimate = ESTIMATORS[cfg.estimator]
 
-    h, frame, noise = draw_trial_data(system, cfg.constellation,
-                                      system.num_slots - pilots, trial_seed)
+    drawn, frame, noise = draw_trial_data(system, cfg.constellation,
+                                          system.num_slots - pilots, trial_seed)
+    h = drawn.h
     s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
 
     pre = PRECODERS[cfg.precoder](s_tx, h, cfg)

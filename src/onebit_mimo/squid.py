@@ -191,16 +191,13 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     col_energy = np.sum(h_r * h_r, axis=0)
     x_r = x_r.copy()
 
-    def beta_for(frame_r):
-        fitted = h_r @ frame_r
-        den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
-        return max(0.0, float(np.sum(fitted * s_r)) / den)
-
     for _ in range(REFINEMENT_ROUNDS):
-        beta = beta_for(x_r)
+        fitted = h_r @ x_r
+        den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
+        beta = max(0.0, float(np.sum(fitted * s_r)) / den)
         if beta == 0.0:
             break
-        resid = s_r - beta * (h_r @ x_r)
+        resid = s_r - beta * fitted
         flip_cost = (4.0 * beta ** 2 * level ** 2 * col_energy)[:, None]
         flipped = False
         while True:

@@ -208,6 +208,10 @@ class TestMain:
         ("squid.rel_tol = inf\n", [], "squid.rel_tol: must be finite, got inf"),
         ("", ["--sdr.tol", "inf"], "argument --sdr.tol: must be finite, got inf"),
         ("", ["--precoder", "zfq,zfq"], "precoder 'zfq' is listed more than once"),
+        ("", ["--snr-db", "4,4"], "snr_db lists one point twice: 4.0 and 4.0"),
+        ("", ["--snr-db=-0,0"], "snr_db lists one point twice: -0.0 and 0.0"),
+        ("", ["--snr-db", "1.0000001,1.0000002"],
+         "snr_db lists one point twice: 1.0000001 and 1.0000002"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

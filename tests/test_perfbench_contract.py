@@ -3,11 +3,14 @@
 ``perfbench/spans.py`` times a sweep by rebinding module attributes of
 ``onebit_mimo``. That only works while those attributes exist and ``sim``
 looks them up at call time; otherwise spans silently vanish and the frame
-check inspects nothing. The tracer is loaded from its file, unchanged.
+check inspects nothing. ``perfbench/run.py``'s microbenchmarks call the
+library directly. Both are loaded from their files, unchanged.
 """
 
 import importlib.util
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +19,27 @@ import pytest
 from onebit_mimo import SweepConfig, SystemConfig, sweep
 from onebit_mimo.sim import draw_trial_data
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PRECODERS = ("zfq", "mrtq", "squid", "sdr")
+
+
+@contextmanager
+def _loaded(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look themselves up here
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
+    with _loaded("spans") as module:
+        yield module
 
 
 @pytest.mark.parametrize("estimator", ("genie", "pilot", "blind"))
@@ -79,3 +91,12 @@ def test_drawn_channel_keeps_its_real_embedding():
     system = SystemConfig.from_snr_db(8, 3, 2, snr_db=0.0)
     h, _, _ = draw_trial_data(system, "qpsk", 2, np.random.SeedSequence(1))
     assert h.h_real.shape == (6, 16)
+
+
+def test_microbenchmarks_run_on_the_library():
+    # they read the draw's h_real, assemble_T's dim, solve_sdp and prox_sq_inf
+    with _loaded("run") as run:
+        metrics = run.microbenchmarks(seed=7)
+    assert sorted(metrics) == ["sdr.gflop_per_s_dim257", "sdr.ms_per_iter_dim257",
+                               "squid.prox_melem_per_s", "squid.prox_us"]
+    assert all(math.isfinite(v) and v > 0 for v in metrics.values())

@@ -12,7 +12,6 @@ import pytest
 from onebit_mimo import (
     PRECODER_IDS,
     PRECODERS,
-    ChannelMatrix,
     SweepConfig,
     SystemConfig,
     TrialConfig,
@@ -187,6 +186,22 @@ class TestRunTrial:
                                            estimator="genie"), seed)
             assert res_bf.objective <= res_sq.objective + 1e-12
 
+    def test_library_gets_the_channel_array(self, monkeypatch):
+        channels = []
+
+        def recording(position, fn):
+            def call(*args):
+                channels.append(args[position])
+                return fn(*args)
+            return call
+
+        monkeypatch.setitem(sim.PRECODERS, "zfq", recording(1, sim.PRECODERS["zfq"]))
+        monkeypatch.setattr(sim, "apply_channel", recording(0, sim.apply_channel))
+        monkeypatch.setattr(sim, "qp_objective", recording(1, sim.qp_objective))
+        run_trial(TrialConfig(system=_tiny_system(), precoder="zfq"), trial_seed_for(2, 0, 0))
+        assert len(channels) == 3
+        assert all(type(h) is np.ndarray and not h.flags.writeable for h in channels)
+
     def test_pilot_mode_consumes_first_slot(self):
         system = _tiny_system(num_slots=5)
         cfg = TrialConfig(system=system, constellation="qpsk",
@@ -218,7 +233,7 @@ class TestRunTrial:
         level = system.quant_level
         for trial in range(3):
             h, frame, _ = draw_trial_data(system, "16qam", 2, trial_seed_for(21, 0, trial))
-            x = PRECODERS[precoder](frame.s, h, cfg).x
+            x = PRECODERS[precoder](frame.s, h.h, cfg).x
             assert x.shape == (3, 2)
             # entries equal +-l +-jl bit for bit, not approximately
             assert np.all((x.real == level) | (x.real == -level))
@@ -238,7 +253,7 @@ class TestBruteForce:
         cfg = SystemConfig(1, 1, 1, noise_var=0.01)
         level = cfg.quant_level
         s = np.array([[3.0 * level * (1 + 1j)]])
-        x, beta, _ = brute_force_qp(s, ChannelMatrix(np.eye(1)), cfg)
+        x, beta, _ = brute_force_qp(s, np.eye(1), cfg)
         assert x[0, 0] == level * (1 + 1j)
         assert beta > 0
 
@@ -303,6 +318,11 @@ class TestSweep:
                 self._cfg(**{field: value})
         with pytest.raises(ValueError, match="precoder 'zfq' is listed more than once"):
             self._cfg(precoders=("zfq", "zfq"))
+        # two rows with one (snr_db, precoder) key: equal, or equal once printed
+        for snr_db, named in (((4, 4), "4.0 and 4.0"), ((-0.0, 0.0), "-0.0 and 0.0"),
+                              ((0.0, 1.0000001, 1.0000002), "1.0000001 and 1.0000002")):
+            with pytest.raises(ValueError, match=f"snr_db lists one point twice: {named}"):
+                self._cfg(snr_db=snr_db)
 
     def test_numpy_integer_counts_accepted(self):
         counts = dict(num_bs_antennas=np.int64(4), num_ues=np.int64(2),
