@@ -10,7 +10,7 @@ Library layout:
 - :mod:`onebit_mimo.linear` - ZF/MRT matrices and the linear-quantized
   baseline
 - :mod:`onebit_mimo.squid` - squared-infinity-norm convex relaxation solved
-  by accelerated proximal gradient
+  by Douglas-Rachford splitting with a certified-gap stop
 - :mod:`onebit_mimo.sdr` - semidefinite relaxation: the K-slot lift, a
   built-in ADMM solver and rank-one extraction
 - :mod:`onebit_mimo.gain_estimation` - genie / pilot / blind estimation of

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
         help="SQUID iteration budget")
     add("--squid.rel_tol", type=_positive, default=SquidOptions.rel_tol,
-        help="SQUID relative stopping tolerance")
+        help="SQUID stops once the certified duality gap P - D is at most "
+             "this times ||s||^2, the objective at b = 0")
     add("--sdr.tol", type=_positive, default=SdrOptions.tol,
         help="ADMM residual tolerance")
     add("--sdr.max_iters", type=_at_least(1), default=SdrOptions.max_iters,

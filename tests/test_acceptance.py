@@ -129,22 +129,33 @@ def test_c3_prox_against_bisection():
     assert _report("C3 prox correctness", ok, f"worst |diff| {worst:.2e}")
 
 
-def test_c4_objective_descent_without_momentum():
-    """C4: plain proximal gradient at step 1/L never increases the objective."""
+def test_c4_fixed_point_residual_never_rises():
+    """C4: SQUID's Douglas-Rachford operator is firmly nonexpansive, so its
+    fixed-point residual ||z_new - z|| never rises; and its fixed points
+    solve the relaxation, so after 120 iterations the Fenchel gap at the
+    returned x meets the default stop, P - D <= rel_tol ||s||^2."""
     qpsk = get_constellation("qpsk")
-    opts = SquidOptions(momentum=False, max_iters=120)
+    opts = SquidOptions(max_iters=120, rel_tol=1e-15)
     cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=0.0)
-    worst_rise = -np.inf
+    lam = 2 * 16 * 128 * 10 * cfg.noise_var / cfg.transmit_power
+    worst_rise = worst_gap = -np.inf
     for seed in range(100):
         h = gen_rayleigh_channel(16, 128, seed=20_000 + seed)
         frame = SymbolFrame.random(qpsk, 16, 10, seed=30_000 + seed)
-        res = squid_relax(real_embed(h), stack_real(frame.s), cfg, opts)
+        h_r, s_r = real_embed(h), stack_real(frame.s)
+        res = squid_relax(h_r, s_r, cfg, opts)
         history = res.history
-        rises = np.diff(history) / max(history[0], 1.0)
+        assert history.shape == (opts.max_iters,)
+        rises = np.diff(history) / history[0]
         worst_rise = max(worst_rise, float(rises.max()))
-    ok = worst_rise <= 1e-10
-    assert _report("C4 objective descent", ok,
-                   f"worst relative rise {worst_rise:.2e}")
+        r = s_r - h_r @ res.x
+        dual = (2 * np.sum(r * s_r) - np.sum(r * r)
+                - np.sum(np.abs(h_r.T @ r)) ** 2 / lam)
+        worst_gap = max(worst_gap, (res.objective - dual) / np.sum(s_r * s_r))
+    ok = worst_rise <= 1e-10 and worst_gap <= SquidOptions().rel_tol
+    assert _report("C4 fixed-point residual descent", ok,
+                   f"worst relative rise {worst_rise:.2e}, "
+                   f"worst gap {worst_gap:.2e} of ||s||^2")
 
 
 # SNR grids and trial counts for criteria 5-7, fixed after calibration;
