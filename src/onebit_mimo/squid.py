@@ -18,7 +18,11 @@ STEP_SCALE / sqrt(L lam / (2BK)), with L = 2 sigma_max(H_R)^2 the Lipschitz
 constant of the least-squares gradient and lam / (2BK) the curvature the
 penalty has on the equal-magnitude set (after Giselsson and Boyd, "Linear
 convergence and metric selection for Douglas-Rachford splitting and ADMM",
-IEEE TAC 2017). The run stops on a certified Fenchel duality gap.
+IEEE TAC 2017). The update is over-relaxed by RELAXATION: for any factor
+in (0, 2) the relaxed DR operator is still averaged, so it converges
+(Eckstein and Bertsekas, Math. Prog. 1992), and a factor above 1 speeds up
+its linear rate (Giselsson and Boyd). The run stops on a certified Fenchel
+duality gap.
 :func:`squid_relax` returns a :class:`~onebit_mimo.model.SolverResult`.
 :func:`squid_precode` rounds the relaxed solution to the 1-bit set
 (:func:`one_bit_quantize`), refines the signs greedily for up to
@@ -28,6 +32,7 @@ optimal precoding factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,9 @@ from .model import (
 REFINEMENT_ROUNDS = 10
 #: the Douglas-Rachford step is STEP_SCALE / sqrt(L lam / (2BK))
 STEP_SCALE = 2.0
+#: the Douglas-Rachford update is z <- z + RELAXATION (c - b); any value in
+#: (0, 2) converges, and over-relaxing above 1 takes fewer iterations
+RELAXATION = 1.7
 #: iterations between two checks of the certified duality gap
 GAP_CHECK_EVERY = 5
 
@@ -132,17 +140,23 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     :func:`stack_real`). Douglas-Rachford splitting of P(b) = f(b) + g(b),
     f(b) = ||sbar - Hbar b||^2 and g(b) = lam ||b||_inf^2, from z = 0:
 
-        b = prox_{gamma f}(z),  c = prox_{gamma g}(2b - z),  z <- z + c - b
+        b = prox_{gamma f}(z),  c = prox_{gamma g}(2b - z),
+        z <- z + alpha (c - b)
 
-    with step gamma = STEP_SCALE / sqrt(L lam / (2BK)). Every
+    with step gamma = STEP_SCALE / sqrt(L lam / (2BK)) and alpha =
+    RELAXATION. The loop holds b - z rather than b, so relaxing costs no
+    extra pass over the iterate. Every
     ``GAP_CHECK_EVERY`` iterations, and at the last, c is certified by the
     Fenchel dual bound D(r) = 2<r, sbar> - ||r||^2 - ||Hbar^T r||_1^2 / lam
     <= P*, with r = sbar - Hbar c. The best checked c is kept, starting from
     b = 0 with P = ||sbar||^2 and its own bound, so the returned objective
     never exceeds ||sbar||^2; the run converges once the kept point's
     P - D <= ``rel_tol`` * ||sbar||^2. ``history`` holds the fixed-point
-    residual ||z_new - z||, one entry per iteration, which never rises: the
-    DR operator is firmly nonexpansive.
+    residual ||z_new - z|| = alpha ||c - b||, one entry per iteration, which
+    never rises: z_new = T(z) with T = (1 - alpha/2) I + (alpha/2) R_g R_f,
+    R the reflections 2 prox - I. R_g R_f is nonexpansive, so T is averaged
+    for alpha < 2 and nonexpansive for alpha <= 2, and each residual
+    ||T(z_new) - T(z)|| is at most the one before, ||z_new - z||.
     """
     if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
         raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
@@ -173,13 +187,17 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
-        b = z + gain @ (s_r - h_r @ z)
-        reflected = 2.0 * b - z
+        g = gain @ (s_r - h_r @ z)  # b = z + g
+        reflected = z + g
+        reflected += g  # 2b - z
         level = _clip_level(np.abs(reflected), tau, level)
-        c = np.clip(reflected, -level, level)  # its inf-norm is level
-        move = c - b
+        c = np.minimum(reflected, level)
+        np.maximum(c, -level, out=c)  # its inf-norm is level
+        move = c - z
+        move -= g
+        move *= RELAXATION  # RELAXATION (c - b)
         z = z + move
-        history.append(float(np.sqrt(np.vdot(move, move))))
+        history.append(math.sqrt(np.vdot(move, move)))
 
         if iterations % GAP_CHECK_EVERY == 0 or iterations == opts.max_iters:
             resid = s_r - h_r @ c

@@ -130,10 +130,11 @@ def test_c3_prox_against_bisection():
 
 
 def test_c4_fixed_point_residual_never_rises():
-    """C4: SQUID's Douglas-Rachford operator is firmly nonexpansive, so its
-    fixed-point residual ||z_new - z|| never rises; and its fixed points
-    solve the relaxation, so after 120 iterations the Fenchel gap at the
-    returned x meets the default stop, P - D <= rel_tol ||s||^2."""
+    """C4: SQUID's Douglas-Rachford operator is averaged, hence
+    nonexpansive, so its fixed-point residual ||z_new - z|| never rises; and
+    its fixed points solve the relaxation, so after 120 iterations the
+    Fenchel gap at the returned x meets the default stop,
+    P - D <= rel_tol ||s||^2."""
     qpsk = get_constellation("qpsk")
     opts = SquidOptions(max_iters=120, rel_tol=1e-15)
     cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=0.0)
