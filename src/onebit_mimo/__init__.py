@@ -57,7 +57,6 @@ from .model import (
 )
 from .sdr import (
     SdpProblem,
-    SdrOptions,
     assemble_T,
     extract_rank_one,
     project_psd,
@@ -79,7 +78,6 @@ from .sim import (
     trial_seed_for,
 )
 from .squid import (
-    SquidOptions,
     estimate_gradient_lipschitz,
     prox_sq_inf,
     squid_precode,

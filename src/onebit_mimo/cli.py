@@ -10,10 +10,9 @@ Config file grammar: one ``key = value`` pair per line; blank lines and text
 after ``#`` are ignored. Keys are the long flag names with underscores
 (``bs_antennas``, ``ues``, ``slots``, ``snr_db``, ``constellation``,
 ``precoder``, ``estimator``, ``trials``, ``seed``, ``out``,
-``stop_after_errors``) plus the solver options ``squid.max_iters``,
-``squid.rel_tol``, ``sdr.tol`` and ``sdr.max_iters``, whose flags are
-spelled as their keys (``--squid.max_iters 500``). List values (``snr_db``,
-``precoder``) are comma separated.
+``stop_after_errors``); an unknown key is an error. List values
+(``snr_db``, ``precoder``) are comma separated. The solvers' budgets are
+fixed in the library and are not settings.
 
 Exit status is 2 for an invalid setting (no trial runs), 1 when any trial
 recorded a hard failure, 130 when the sweep is interrupted (Ctrl-C; the
@@ -23,14 +22,11 @@ CSV then holds the header and every finished point), and 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .constellations import CONSTELLATION_IDS
-from .sdr import SdrOptions
 from .sim import ESTIMATOR_IDS, PRECODER_IDS, SweepConfig, sweep
-from .squid import SquidOptions
 
 
 def float_list(text: str) -> tuple:
@@ -53,18 +49,6 @@ def _at_least(low: int):
         return value
     convert.__name__ = "int"  # argparse and the config reader name the type
     return convert
-
-
-def _positive(text: str) -> float:
-    """A float option type that accepts only 0 < value < inf."""
-    if not (value := float(text)) > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    if not value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-_positive.__name__ = "float"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,15 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--out", type=str, default="ber_results.csv", help="output CSV file, in an existing directory")
     add("--stop-after-errors", dest="stop_after_errors", type=_at_least(0), default=0,
         help="stop a precoder at a point after this many bit errors (0 disables)")
-    add("--squid.max_iters", type=_at_least(1), default=SquidOptions.max_iters,
-        help="SQUID iteration budget")
-    add("--squid.rel_tol", type=_positive, default=SquidOptions.rel_tol,
-        help="SQUID stops once the certified duality gap P - D is at most "
-             "this times ||s||^2, the objective at b = 0")
-    add("--sdr.tol", type=_positive, default=SdrOptions.tol,
-        help="ADMM residual tolerance")
-    add("--sdr.max_iters", type=_at_least(1), default=SdrOptions.max_iters,
-        help="ADMM iteration budget per slot")
     return parser
 
 
@@ -147,7 +122,6 @@ def parse_settings(parser: argparse.ArgumentParser, argv=None) -> argparse.Names
 
 def sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The sweep that parsed settings describe."""
-    opts = vars(args)
     return SweepConfig(
         num_bs_antennas=args.bs_antennas,
         num_ues=args.ues,
@@ -160,9 +134,6 @@ def sweep_config(args: argparse.Namespace) -> SweepConfig:
         seed=args.seed,
         out=args.out,
         stop_after_errors=args.stop_after_errors,
-        squid=SquidOptions(max_iters=opts["squid.max_iters"],
-                           rel_tol=opts["squid.rel_tol"]),
-        sdr=SdrOptions(tol=opts["sdr.tol"], max_iters=opts["sdr.max_iters"]),
     )
 
 

@@ -9,7 +9,9 @@ pinned to 1. The SDP is solved by a self-contained ADMM that alternates a
 closed-form projection onto the affine constraint set with a projection
 onto the PSD cone and returns a :class:`~onebit_mimo.model.SolverResult`;
 a 1-bit frame is then extracted by rounding the leading eigenvector
-(:func:`~onebit_mimo.model.one_bit_quantize`).
+(:func:`~onebit_mimo.model.one_bit_quantize`). ADMM stops at residual
+``tol`` = 1e-6 or after ``max_iters`` = 5000 iterations, the defaults of
+:func:`solve_sdp`'s keyword arguments.
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
 configuration. The joint K-slot SDP (dimension 2BK+1) is :func:`assemble_T`
@@ -35,17 +37,6 @@ from .model import (
     unvec,
     vec,
 )
-
-
-@dataclass(frozen=True)
-class SdrOptions:
-    tol: float = 1e-6
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        _check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -120,8 +111,8 @@ def _constraint_violation(z: np.ndarray, num_vec: int) -> float:
 RHO_ADAPT_BURN_IN = 1000
 
 
-def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
-              max_iters: int = SdrOptions.max_iters) -> SolverResult:
+def solve_sdp(problem: SdpProblem, tol: float = 1e-6,
+              max_iters: int = 5000) -> SolverResult:
     """ADMM over the affine constraint set and the PSD cone.
 
     x-update: project (z - u - T/rho) onto the affine set (closed form:
@@ -135,6 +126,9 @@ def solve_sdp(problem: SdpProblem, tol: float = SdrOptions.tol,
     PSD by construction either way), and the (iterations, 2) primal and dual
     residuals as ``history``.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_count("max_iters", max_iters, 1)
     t = problem.t
     n = problem.dim
     n_vec = n - 1
@@ -199,8 +193,7 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
     return PrecodeResult(x=x, beta=beta, flags=tuple(flags))
 
 
-def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
-                opts: SdrOptions = SdrOptions()) -> PrecodeResult:
+def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """End-to-end SDR precoding.
 
     Solves K independent single-slot SDPs (dimension 2B+1 each) and
@@ -213,8 +206,7 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig,
     columns = []
     for k in range(s.shape[1]):
         sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
-                                   cfg.noise_var, cfg.transmit_power),
-                        tol=opts.tol, max_iters=opts.max_iters)
+                                   cfg.noise_var, cfg.transmit_power))
         slot_result = extract_rank_one(sol, s[:, k:k + 1], h, cfg)
         columns.append(slot_result.x)
         flags.extend(f for f in slot_result.flags if f not in flags)

@@ -56,8 +56,8 @@ from .model import (
     unstack_real,
     unvec,
 )
-from .sdr import SdrOptions, sdr_precode
-from .squid import SquidOptions, squid_precode
+from .sdr import sdr_precode
+from .squid import squid_precode
 
 #: precoder id -> (frame, channel, trial config) -> PrecodeResult; each entry
 #: looks its precoder and linear matrix up by name when called, so rebinding
@@ -65,8 +65,8 @@ from .squid import SquidOptions, squid_precode
 PRECODERS = {
     "zfq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.zf_matrix),
     "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.mrt_matrix),
-    "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system, cfg.squid),
-    "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system, cfg.sdr),
+    "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system),
+    "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system),
     "bruteforce": lambda s, h, cfg: PrecodeResult(*brute_force_qp(s, h, cfg.system)[:2]),
 }
 PRECODER_IDS = tuple(PRECODERS)
@@ -94,14 +94,13 @@ _BRUTE_FORCE_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One concrete simulation point: system, constellation, precoder, estimator."""
+    """One concrete simulation point: system, constellation, precoder, estimator.
+    The solvers run at their fixed budgets, so none is part of a point."""
 
     system: SystemConfig
     constellation: str = "qpsk"
     precoder: str = "squid"
     estimator: str = "blind"
-    squid: SquidOptions = SquidOptions()
-    sdr: SdrOptions = SdrOptions()
 
     def __post_init__(self):
         get_constellation(self.constellation)
@@ -131,7 +130,8 @@ class SweepConfig:
 
     Construction validates every setting (ids, counts, SNRs, output path),
     so a bad one or a repeated precoder or SNR point (equal in value or in
-    its CSV label) fails before any trial runs.
+    its CSV label) fails before any trial runs. Like :class:`TrialConfig`,
+    it holds no solver setting.
     """
 
     num_bs_antennas: int
@@ -145,8 +145,6 @@ class SweepConfig:
     seed: int
     out: str | Path | None = None
     stop_after_errors: int = 0
-    squid: SquidOptions = SquidOptions()
-    sdr: SdrOptions = SdrOptions()
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
@@ -178,8 +176,7 @@ class SweepConfig:
         system = SystemConfig.from_snr_db(self.num_bs_antennas, self.num_ues,
                                           self.num_slots, snr_db=snr_db)
         return TrialConfig(system=system, constellation=self.constellation,
-                           precoder=precoder, estimator=self.estimator,
-                           squid=self.squid, sdr=self.sdr)
+                           precoder=precoder, estimator=self.estimator)
 
 
 @dataclass

@@ -22,7 +22,8 @@ IEEE TAC 2017). The update is over-relaxed by RELAXATION: for any factor
 in (0, 2) the relaxed DR operator is still averaged, so it converges
 (Eckstein and Bertsekas, Math. Prog. 1992), and a factor above 1 speeds up
 its linear rate (Giselsson and Boyd). The run stops on a certified Fenchel
-duality gap.
+duality gap of at most REL_TOL times the objective at b = 0, or after
+MAX_ITERS iterations, the defaults of :func:`squid_relax`'s budget.
 :func:`squid_relax` returns a :class:`~onebit_mimo.model.SolverResult`.
 :func:`squid_precode` rounds the relaxed solution to the 1-bit set
 (:func:`one_bit_quantize`), refines the signs greedily for up to
@@ -33,7 +34,6 @@ optimal precoding factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,10 @@ STEP_SCALE = 2.0
 RELAXATION = 1.7
 #: iterations between two checks of the certified duality gap
 GAP_CHECK_EVERY = 5
-
-
-@dataclass(frozen=True)
-class SquidOptions:
-    max_iters: int = 2000
-    rel_tol: float = 1.5e-4
-
-    def __post_init__(self):
-        _check_count("max_iters", self.max_iters, 1)
-        if not 0 < self.rel_tol < np.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+#: default iteration budget of :func:`squid_relax`
+MAX_ITERS = 2000
+#: default stop: certified gap P - D at most REL_TOL ||sbar||^2
+REL_TOL = 1.5e-4
 
 
 def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
@@ -111,19 +104,19 @@ def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     return np.clip(v, -t, t)
 
 
-def estimate_gradient_lipschitz(h_r: np.ndarray) -> float:
+def estimate_gradient_lipschitz(gram: np.ndarray) -> float:
     """L = 2 sigma_max(H_R)^2, the Lipschitz constant of the gradient of
     ||sbar - Hbar b||^2, read off the (2U x 2U) Gram matrix H_R H_R^T."""
-    return 2.0 * float(np.linalg.eigvalsh(h_r @ h_r.T)[-1])
+    return 2.0 * float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _lsq_prox_gain(h_r: np.ndarray, gamma: float) -> np.ndarray:
-    """W = 2 gamma H_R^T (I + 2 gamma H_R H_R^T)^-1, a (2B x 2U) matrix.
+def _lsq_prox_gain(h_r: np.ndarray, gram: np.ndarray, gamma: float) -> np.ndarray:
+    """W = 2 gamma H_R^T (I + 2 gamma H_R H_R^T)^-1, a (2B x 2U) matrix;
+    ``gram`` is H_R H_R^T.
 
     By Woodbury, the prox of gamma ||s - H_R b||^2 at z, the solution b of
     (I + 2 gamma H_R^T H_R) b = z + 2 gamma H_R^T s, is z + W (s - H_R z).
     """
-    gram = h_r @ h_r.T
     shifted = np.eye(gram.shape[0]) + (2.0 * gamma) * gram
     # inverting the small matrix is several times faster here than solve()
     # with the 2B right-hand sides of H_R
@@ -131,7 +124,7 @@ def _lsq_prox_gain(h_r: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
-                opts: SquidOptions = SquidOptions()) -> SolverResult:
+                max_iters: int = MAX_ITERS, rel_tol: float = REL_TOL) -> SolverResult:
     """Solve the relaxed problem; returns the best checked (2B x K) iterate as
     ``x``.
 
@@ -151,15 +144,18 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     <= P*, with r = sbar - Hbar c. The best checked c is kept, starting from
     b = 0 with P = ||sbar||^2 and its own bound, so the returned objective
     never exceeds ||sbar||^2; the run converges once the kept point's
-    P - D <= ``rel_tol`` * ||sbar||^2. ``history`` holds the fixed-point
-    residual ||z_new - z|| = alpha ||c - b||, one entry per iteration, which
-    never rises: z_new = T(z) with T = (1 - alpha/2) I + (alpha/2) R_g R_f,
+    P - D <= ``rel_tol`` * ||sbar||^2, or stops after ``max_iters``
+    iterations. ``history`` holds the fixed-point residual ||z_new - z|| =
+    alpha ||c - b||, one entry per iteration, which never rises: z_new = T(z) with T = (1 - alpha/2) I + (alpha/2) R_g R_f,
     R the reflections 2 prox - I. R_g R_f is nonexpansive, so T is averaged
     for alpha < 2 and nonexpansive for alpha <= 2, and each residual
     ||T(z_new) - T(z)|| is at most the one before, ||z_new - z||.
     """
     if np.iscomplexobj(h_r) or np.iscomplexobj(s_r):
         raise TypeError("squid_relax takes real_embed(h) and stack_real(s)")
+    _check_count("max_iters", max_iters, 1)
+    if not 0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     h_r = np.asarray(h_r, dtype=float)
     s_r = np.asarray(s_r, dtype=float)
     num_ues, num_antennas = h_r.shape[0] // 2, h_r.shape[1] // 2
@@ -169,10 +165,11 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
 
     penalty = (2.0 * num_ues * num_antennas * num_slots
                * cfg.noise_var / cfg.transmit_power)
-    lipschitz = max(estimate_gradient_lipschitz(h_r), 1e-12)
+    gram = h_r @ h_r.T
+    lipschitz = max(estimate_gradient_lipschitz(gram), 1e-12)
     gamma = STEP_SCALE / np.sqrt(lipschitz * penalty / (2 * num_antennas * num_slots))
     tau = gamma * penalty
-    gain = _lsq_prox_gain(h_r, gamma)
+    gain = _lsq_prox_gain(h_r, gram, gamma)
 
     def dual_bound(resid, fit):
         corr = float(np.sum(np.abs(h_r.T @ resid)))
@@ -186,7 +183,7 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     converged = False
     iterations = 0
 
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         g = gain @ (s_r - h_r @ z)  # b = z + g
         reflected = z + g
         reflected += g  # 2b - z
@@ -199,13 +196,13 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
         z = z + move
         history.append(math.sqrt(np.vdot(move, move)))
 
-        if iterations % GAP_CHECK_EVERY == 0 or iterations == opts.max_iters:
+        if iterations % GAP_CHECK_EVERY == 0 or iterations == max_iters:
             resid = s_r - h_r @ c
             fit = float(np.vdot(resid, resid))
             primal = fit + penalty * level ** 2
             if primal < f_best:
                 x_best, f_best, d_best = c, primal, dual_bound(resid, fit)
-            if f_best - d_best <= opts.rel_tol * f_zero:
+            if f_best - d_best <= rel_tol * f_zero:
                 converged = True
                 break
 
@@ -257,8 +254,7 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     return x_r
 
 
-def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
-                  opts: SquidOptions = SquidOptions()) -> PrecodeResult:
+def squid_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """Relax, round to the 1-bit transmit set, recover the precoding factor.
 
     Rounding quantizes the real-embedded relaxed solution entrywise
@@ -268,7 +264,7 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig,
     relaxed iterate, which is never worse under the frame MSE.
     """
     h_r, s_r = real_embed(h), stack_real(s)
-    relaxed = squid_relax(h_r, s_r, cfg, opts)
+    relaxed = squid_relax(h_r, s_r, cfg)
     level = cfg.quant_level
     x_r = one_bit_quantize(relaxed.x, level)
     x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg.noise_var, level))

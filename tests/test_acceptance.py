@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from onebit_mimo import (
-    SdrOptions,
-    SquidOptions,
     SweepConfig,
     SymbolFrame,
     SystemConfig,
@@ -39,6 +37,7 @@ from onebit_mimo import (
     sweep,
     zf_matrix,
 )
+from onebit_mimo.squid import REL_TOL
 
 from oracles import bisection_prox_sq_inf
 
@@ -136,7 +135,7 @@ def test_c4_fixed_point_residual_never_rises():
     Fenchel gap at the returned x meets the default stop,
     P - D <= rel_tol ||s||^2."""
     qpsk = get_constellation("qpsk")
-    opts = SquidOptions(max_iters=120, rel_tol=1e-15)
+    max_iters = 120
     cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=0.0)
     lam = 2 * 16 * 128 * 10 * cfg.noise_var / cfg.transmit_power
     worst_rise = worst_gap = -np.inf
@@ -144,16 +143,16 @@ def test_c4_fixed_point_residual_never_rises():
         h = gen_rayleigh_channel(16, 128, seed=20_000 + seed)
         frame = SymbolFrame.random(qpsk, 16, 10, seed=30_000 + seed)
         h_r, s_r = real_embed(h), stack_real(frame.s)
-        res = squid_relax(h_r, s_r, cfg, opts)
+        res = squid_relax(h_r, s_r, cfg, max_iters=max_iters, rel_tol=1e-15)
         history = res.history
-        assert history.shape == (opts.max_iters,)
+        assert history.shape == (max_iters,)
         rises = np.diff(history) / history[0]
         worst_rise = max(worst_rise, float(rises.max()))
         r = s_r - h_r @ res.x
         dual = (2 * np.sum(r * s_r) - np.sum(r * r)
                 - np.sum(np.abs(h_r.T @ r)) ** 2 / lam)
         worst_gap = max(worst_gap, (res.objective - dual) / np.sum(s_r * s_r))
-    ok = worst_rise <= 1e-10 and worst_gap <= SquidOptions().rel_tol
+    ok = worst_rise <= 1e-10 and worst_gap <= REL_TOL
     assert _report("C4 fixed-point residual descent", ok,
                    f"worst relative rise {worst_rise:.2e}, "
                    f"worst gap {worst_gap:.2e} of ||s||^2")

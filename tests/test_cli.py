@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from onebit_mimo import sim
+from onebit_mimo import sim, squid
 from onebit_mimo.cli import (
     build_parser,
     main,
@@ -12,9 +12,7 @@ from onebit_mimo.cli import (
     parse_settings,
     sweep_config,
 )
-from onebit_mimo.sdr import SdrOptions
 from onebit_mimo.sim import CSV_HEADER
-from onebit_mimo.squid import SquidOptions
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "example_sweep.cfg"
 
@@ -32,13 +30,13 @@ class TestConfigFile:
             "ues = 2\n"
             "snr_db = 0, 5, 10   # dB\n"
             "precoder = zfq,squid\n"
-            "sdr.max_iters = 50\n"
+            "stop_after_errors = 50\n"
             "\n"
         )
         values = parse_config_file(cfg, build_parser())
         assert values["bs_antennas"] == "8"
         assert values["snr_db"] == "0, 5, 10"
-        assert values["sdr.max_iters"] == "50"
+        assert values["stop_after_errors"] == "50"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -55,14 +53,14 @@ class TestConfigFile:
 
     def test_cli_overrides_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\nsdr.tol = 1e-3\n")
+        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\nstop_after_errors = 5\n")
         settings = _settings(["--config", str(cfg), "--trials", "9",
-                              "--sdr.tol", "1e-5"])
+                              "--stop-after-errors", "7"])
         assert settings.bs_antennas == 8   # from file
         assert settings.trials == 9        # CLI wins
         assert settings.seed == 3          # from file
         assert settings.ues == 16          # default
-        assert vars(settings)["sdr.tol"] == 1e-5
+        assert settings.stop_after_errors == 7
 
     def test_shipped_example_builds_its_sweep(self):
         sweep_cfg = sweep_config(_settings(["--config", str(EXAMPLE_CONFIG)]))
@@ -71,29 +69,25 @@ class TestConfigFile:
         assert sweep_cfg.constellation == "16qam"
         assert sweep_cfg.precoders == ("zfq", "squid")
         assert sweep_cfg.stop_after_errors == 0
-        assert sweep_cfg.squid == SquidOptions()
-        assert sweep_cfg.sdr == SdrOptions()
 
 
 class TestSweepConfigMapping:
-    def test_lists_and_solver_options(self, tmp_path):
+    def test_lists_and_config_file_values(self, tmp_path):
         cfg_file = tmp_path / "s.cfg"
-        cfg_file.write_text("squid.max_iters = 123\nsdr.tol = 1e-4\n")
+        cfg_file.write_text("stop_after_errors = 123\nseed = 4\n")
         settings = _settings([
             "--config", str(cfg_file),
             "--bs-antennas", "4", "--ues", "2", "--slots", "2",
             "--snr-db", "0,6", "--precoder", "zfq, squid",
             "--constellation", "QPSK", "--estimator", "genie",
             "--trials", "2", "--seed", "1", "--out", str(tmp_path / "o.csv"),
-            "--squid.rel_tol", "1e-3", "--sdr.max_iters", "77",
         ])
         sweep_cfg = sweep_config(settings)
         assert sweep_cfg.snr_db == (0.0, 6.0)
         assert sweep_cfg.precoders == ("zfq", "squid")
         assert sweep_cfg.constellation == "qpsk"
-        assert sweep_cfg.squid == SquidOptions(max_iters=123, rel_tol=1e-3)
-        assert sweep_cfg.sdr == SdrOptions(tol=1e-4, max_iters=77)
-        assert sweep_cfg.stop_after_errors == 0
+        assert sweep_cfg.stop_after_errors == 123
+        assert sweep_cfg.seed == 1
 
     def test_ids_are_stripped_and_lower_cased(self):
         # the library takes only the exact id, so the CSV never spells it twice
@@ -180,8 +174,12 @@ class TestMain:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
-    def test_solver_nonconvergence_is_printed(self, tmp_path, capsys):
-        code = main(self.ARGS + ["--precoder", "squid", "--squid.max_iters", "1",
+    def test_solver_nonconvergence_is_printed(self, tmp_path, capsys, monkeypatch):
+        # the budget is fixed, so cut it inside the solver
+        relax = squid.squid_relax
+        monkeypatch.setattr(squid, "squid_relax", lambda h_r, s_r, cfg: relax(
+            h_r, s_r, cfg, max_iters=1))
+        code = main(self.ARGS + ["--precoder", "squid",
                                  "--out", str(tmp_path / "n.csv")])
         assert code == 0
         counts = [int(field.split("=")[1])
@@ -200,13 +198,14 @@ class TestMain:
         ("trials = 0\n", [], "trials: must be >= 1, got 0"),
         ("", ["--snr-db=-inf"], "snr_db = -inf dB gives no finite positive noise"),
         ("", ["--snr-db=4000"], "snr_db = 4000.0 dB gives no finite positive noise"),
-        ("squid.rel_tol = 0\n", [], "squid.rel_tol: must be > 0, got 0.0"),
-        ("sdr.tol = 0\n", [], "sdr.tol: must be > 0, got 0.0"),
-        ("sdr.tol = nan\n", [], "sdr.tol: must be > 0, got nan"),
+        # the solver budgets are not settings, so an old file or flag fails loudly
+        ("squid.rel_tol = 0\n", [], "unknown key 'squid.rel_tol'"),
+        ("sdr.tol = 0\n", [], "unknown key 'sdr.tol'"),
+        ("sdr.max_iters = 5000\n", [], "unknown key 'sdr.max_iters'"),
         ("", ["--out", "."], "output path '.' names a directory"),
         ("", ["--out", ""], "output path '' names a directory"),
-        ("squid.rel_tol = inf\n", [], "squid.rel_tol: must be finite, got inf"),
-        ("", ["--sdr.tol", "inf"], "argument --sdr.tol: must be finite, got inf"),
+        ("squid.max_iters = 2000\n", [], "unknown key 'squid.max_iters'"),
+        ("", ["--sdr.tol", "inf"], "unrecognized arguments: --sdr.tol inf"),
         ("", ["--precoder", "zfq,zfq"], "precoder 'zfq' is listed more than once"),
         ("", ["--snr-db", "4,4"], "snr_db lists one point twice: 4.0 and 4.0"),
         ("", ["--snr-db=-0,0"], "snr_db lists one point twice: -0.0 and 0.0"),

@@ -7,7 +7,6 @@ import pytest
 
 from onebit_mimo import (
     SdpProblem,
-    SdrOptions,
     SolverResult,
     SymbolFrame,
     SystemConfig,
@@ -63,16 +62,18 @@ class TestAssembleT:
         prob = assemble_T(hbar, rng.standard_normal(4), 2, 0.1, 1.0)
         assert np.array_equal(prob.t, prob.t.T)
 
-    @pytest.mark.parametrize("call", [
-        lambda: SdrOptions(tol=0.0),
-        lambda: SdrOptions(max_iters=0),
-        lambda: assemble_T(np.ones((4, 4)), np.ones(6), 2, 0.1, 1.0),
-        lambda: SdrOptions(tol=math.inf),
-        lambda: SdrOptions(max_iters=100.0),
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: solve_sdp(p, tol=0.0), "tol must be finite and > 0"),
+        (lambda p: solve_sdp(p, max_iters=0), "max_iters must be >= 1"),
+        (lambda p: assemble_T(np.ones((4, 4)), np.ones(6), 2, 0.1, 1.0),
+         "row dimensions disagree"),
+        (lambda p: solve_sdp(p, tol=math.inf), "tol must be finite and > 0"),
+        (lambda p: solve_sdp(p, max_iters=100.0), "max_iters must be an integer"),
     ], ids=["tol", "max_iters", "row_mismatch", "tol_inf", "max_iters_float"])
-    def test_invalid_arguments_rejected(self, call):
-        with pytest.raises(ValueError):
-            call()
+    def test_invalid_arguments_rejected(self, call, message):
+        problem = assemble_T(np.ones((4, 4)), np.ones(4), 2, 0.1, 1.0)
+        with pytest.raises(ValueError, match=message):
+            call(problem)
 
 
 class TestProjectPsd:

@@ -7,7 +7,6 @@ import pytest
 
 from onebit_mimo import (
     SolverResult,
-    SquidOptions,
     SymbolFrame,
     SystemConfig,
     brute_force_qp,
@@ -73,8 +72,7 @@ class TestObjective:
                            noise_var=0.25, transmit_power=2.0)
         h_r = real_embed(np.eye(num_ues, dtype=complex))
         s_r = stack_real(0.8 * (1 + 1j) * np.ones((num_ues, num_slots)))
-        res = squid_relax(h_r, s_r, cfg,
-                          SquidOptions(max_iters=5000, rel_tol=1e-14))
+        res = squid_relax(h_r, s_r, cfg, max_iters=5000, rel_tol=1e-14)
         b_r = res.x
         assert b_r.shape == (2 * num_antennas, num_slots)
         assert np.allclose(np.abs(b_r), np.abs(b_r[0, 0]), rtol=1e-9, atol=0)
@@ -89,7 +87,7 @@ class TestObjective:
         h = gen_rayleigh_channel(2, 6, seed=2)
         frame = SymbolFrame.random(get_constellation("64qam"), 2, 3, seed=3)
         h_r, s_r = real_embed(h), stack_real(frame.s)
-        res = squid_relax(h_r, s_r, cfg, SquidOptions(max_iters=40))
+        res = squid_relax(h_r, s_r, cfg, max_iters=40)
         assert res.objective == pytest.approx(
             self._relaxed_objective(res.x, h_r, s_r, cfg), rel=1e-12)
         # one fixed-point residual per iteration
@@ -216,7 +214,7 @@ class TestSquidRelax:
         h = np.array([[1.0 + 0j]])
         s = np.array([[0.9 - 0.4j]])
         res = squid_relax(real_embed(h), stack_real(s), cfg,
-                          SquidOptions(max_iters=5000, rel_tol=1e-12))
+                          max_iters=5000, rel_tol=1e-12)
         penalty = 2 * cfg.noise_var / cfg.transmit_power  # 2UBK N0 / P, all dims 1
         s_r2 = stack_real(s).ravel()
         grid_obj, _ = grid_search_linf_sq_2d(s_r2, penalty,
@@ -229,7 +227,7 @@ class TestSquidRelax:
         h = gen_rayleigh_channel(4, 16, seed=9)
         frame = SymbolFrame.random(get_constellation("16qam"), 4, 3, seed=10)
         res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
-                          SquidOptions(max_iters=300, rel_tol=1e-15))
+                          max_iters=300, rel_tol=1e-15)
         assert res.history.shape == (300,)
         assert np.all(np.diff(res.history) <= 1e-10 * res.history[0])
 
@@ -237,8 +235,7 @@ class TestSquidRelax:
         cfg = SystemConfig.from_snr_db(8, 2, 2, snr_db=0.0)
         h = gen_rayleigh_channel(2, 8, seed=11)
         frame = SymbolFrame.random(get_constellation("8psk"), 2, 2, seed=12)
-        res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
-                          SquidOptions(max_iters=3))
+        res = squid_relax(real_embed(h), stack_real(frame.s), cfg, max_iters=3)
         assert res.objective <= np.sum(np.abs(frame.s) ** 2) + 1e-12
 
     def test_relaxation_lower_bounds_discrete_optimum(self):
@@ -249,7 +246,7 @@ class TestSquidRelax:
             frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1,
                                        seed=50 + seed)
             res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
-                              SquidOptions(max_iters=20000, rel_tol=1e-14))
+                              max_iters=20000, rel_tol=1e-14)
             _, _, discrete = brute_force_qp(frame.s, h, cfg)
             assert res.objective <= discrete + 1e-9
 
@@ -263,23 +260,24 @@ class TestSquidRelax:
         with pytest.raises(TypeError):
             squid_relax(real_embed(h), frame.s, cfg)
 
-    @pytest.mark.parametrize("call", [
-        lambda: SquidOptions(max_iters=0),
-        lambda: SquidOptions(rel_tol=0.0),
-        lambda: squid_relax(np.ones((4, 4)), np.ones((6, 2)),
-                            SystemConfig(2, 2, 2, noise_var=0.1)),
-        lambda: SquidOptions(rel_tol=math.inf),
-        lambda: SquidOptions(max_iters=2.5),
+    @pytest.mark.parametrize("frame_rows, budget, message", [
+        (4, {"max_iters": 0}, "max_iters must be >= 1"),
+        (4, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
+        (6, {}, "dimensions disagree"),
+        (4, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
+        (4, {"max_iters": 2.5}, "max_iters must be an integer"),
     ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float"])
-    def test_invalid_arguments_rejected(self, call):
-        with pytest.raises(ValueError):
-            call()
+    def test_invalid_arguments_rejected(self, frame_rows, budget, message):
+        with pytest.raises(ValueError, match=message):
+            squid_relax(np.ones((4, 4)), np.ones((frame_rows, 2)),
+                        SystemConfig(2, 2, 2, noise_var=0.1), **budget)
 
     def test_lipschitz_estimate_tracks_eigenvalue(self):
         rng = np.random.default_rng(13)
         h_r = rng.standard_normal((8, 12))
         lam = np.linalg.eigvalsh(h_r.T @ h_r)[-1]
-        assert estimate_gradient_lipschitz(h_r) == pytest.approx(2 * lam, rel=1e-12)
+        assert estimate_gradient_lipschitz(h_r @ h_r.T) == pytest.approx(2 * lam,
+                                                                       rel=1e-12)
 
     @pytest.mark.parametrize("num_antennas, num_ues, num_slots",
                              [(8, 2, 3), (128, 16, 10)])
@@ -293,7 +291,7 @@ class TestSquidRelax:
         for gamma in (1e-3, 0.1, 10.0):
             dense = np.linalg.solve(np.eye(2 * num_antennas) + 2 * gamma * h_r.T @ h_r,
                                     z + 2 * gamma * h_r.T @ s_r)
-            got = z + _lsq_prox_gain(h_r, gamma) @ (s_r - h_r @ z)
+            got = z + _lsq_prox_gain(h_r, h_r @ h_r.T, gamma) @ (s_r - h_r @ z)
             assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -315,11 +313,11 @@ class TestDualCertificate:
     GAP_BOUND = {0.0: 2e-3, 8.0: 5e-3, 16.0: 2.5e-2}
 
     @staticmethod
-    def _certify(h, s, cfg, opts=SquidOptions()):
+    def _certify(h, s, cfg, **budget):
         """The result with (P, D) at its solution, P recomputed from its
         iterate."""
         h_r, s_r = real_embed(h), stack_real(s)
-        res = squid_relax(h_r, s_r, cfg, opts)
+        res = squid_relax(h_r, s_r, cfg, **budget)
         lam = (2 * cfg.num_ues * cfg.num_bs_antennas * cfg.num_slots
                * cfg.noise_var / cfg.transmit_power)
         r = s_r - h_r @ res.x
@@ -344,14 +342,13 @@ class TestDualCertificate:
     def test_converged_result_meets_its_stop(self, snr_db):
         # the stop is P - D <= rel_tol ||s||^2 at the returned x
         cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=snr_db)
-        opts = SquidOptions()
         for seed in range(80, 83):
             h = gen_rayleigh_channel(16, 128, seed=seed)
             frame = SymbolFrame.random(get_constellation("16qam"), 16, 10,
                                        seed=100 + seed)
-            res, primal, dual = self._certify(h, frame.s, cfg, opts)
+            res, primal, dual = self._certify(h, frame.s, cfg)
             assert res.converged
-            assert 0 <= primal - dual <= opts.rel_tol * np.sum(np.abs(frame.s) ** 2)
+            assert 0 <= primal - dual <= squid.REL_TOL * np.sum(np.abs(frame.s) ** 2)
 
     @pytest.mark.parametrize("snr_db", sorted(GAP_BOUND))
     def test_over_relaxation_saves_iterations(self, snr_db, monkeypatch):
@@ -360,7 +357,6 @@ class TestDualCertificate:
         # calibration instances per SNR (channel seeds 3000-3049) the relaxed
         # run never took more iterations, and fewer on all but one at 16 dB
         cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=snr_db)
-        opts = SquidOptions()
         relaxation = squid.RELAXATION
         totals = {1.0: 0, relaxation: 0}
         for seed in range(90, 93):
@@ -370,9 +366,9 @@ class TestDualCertificate:
             objectives, gaps = [], []
             for alpha in totals:
                 monkeypatch.setattr(squid, "RELAXATION", alpha)
-                res, primal, dual = self._certify(h, s, cfg, opts)
+                res, primal, dual = self._certify(h, s, cfg)
                 assert res.converged
-                assert 0 <= primal - dual <= opts.rel_tol * np.sum(np.abs(s) ** 2)
+                assert 0 <= primal - dual <= squid.REL_TOL * np.sum(np.abs(s) ** 2)
                 totals[alpha] += res.iterations
                 objectives.append(primal)
                 gaps.append(primal - dual)
@@ -384,7 +380,7 @@ class TestDualCertificate:
         cfg = SystemConfig.from_snr_db(8, 2, 3, snr_db=5.0)
         h = gen_rayleigh_channel(2, 8, seed=18)
         frame = SymbolFrame.random(get_constellation("16qam"), 2, 3, seed=19)
-        _, primal, dual = self._certify(h, frame.s, cfg, SquidOptions(rel_tol=1e-15))
+        _, primal, dual = self._certify(h, frame.s, cfg, rel_tol=1e-15)
         assert 0 <= primal - dual < 1e-7 * primal
 
 
@@ -447,10 +443,13 @@ class TestSquidPrecode:
             obj_zf = qp_objective(frame.s, h, zf.x, zf.beta, cfg.noise_var)
             assert obj_sq < obj_zf
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
+        # the precoder runs the fixed budget, so cut it inside the solver
+        relax = squid.squid_relax
+        monkeypatch.setattr(squid, "squid_relax", lambda h_r, s_r, cfg: relax(
+            h_r, s_r, cfg, max_iters=2, rel_tol=1e-15))
         cfg = SystemConfig.from_snr_db(8, 2, 2, snr_db=10.0)
         h = gen_rayleigh_channel(2, 8, seed=16)
         frame = SymbolFrame.random(get_constellation("16qam"), 2, 2, seed=17)
-        res = squid_precode(frame.s, h, cfg,
-                            SquidOptions(max_iters=2, rel_tol=1e-15))
+        res = squid_precode(frame.s, h, cfg)
         assert "squid_nonconverged" in res.flags
