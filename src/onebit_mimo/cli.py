@@ -9,10 +9,10 @@ like flags and flags override the file, which overrides the defaults.
 Config file grammar: one ``key = value`` pair per line; blank lines and text
 after ``#`` are ignored. Keys are the long flag names with underscores
 (``bs_antennas``, ``ues``, ``slots``, ``snr_db``, ``constellation``,
-``precoder``, ``estimator``, ``trials``, ``seed``, ``out``,
-``stop_after_errors``); an unknown key is an error. List values
-(``snr_db``, ``precoder``) are comma separated. The solvers' budgets are
-fixed in the library and are not settings.
+``precoder``, ``estimator``, ``trials``, ``seed``, ``out``); an unknown key
+is an error. List values (``snr_db``, ``precoder``) are comma separated.
+The solvers' budgets are fixed in the library and are not settings, and
+every point runs all its ``trials``, so they alone set its precision.
 
 Exit status is 2 for an invalid setting (no trial runs), 1 when any trial
 recorded a hard failure, 130 when the sweep is interrupted (Ctrl-C; the
@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--trials", type=_at_least(1), default=10, help="Monte-Carlo trials per point")
     add("--seed", type=_at_least(0), default=0, help="master seed")
     add("--out", type=str, default="ber_results.csv", help="output CSV file, in an existing directory")
-    add("--stop-after-errors", dest="stop_after_errors", type=_at_least(0), default=0,
-        help="stop a precoder at a point after this many bit errors (0 disables)")
     return parser
 
 
@@ -133,7 +131,6 @@ def sweep_config(args: argparse.Namespace) -> SweepConfig:
         trials=args.trials,
         seed=args.seed,
         out=args.out,
-        stop_after_errors=args.stop_after_errors,
     )
 
 

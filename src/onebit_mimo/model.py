@@ -82,11 +82,6 @@ class SystemConfig:
             raise ValueError("noise_var must be finite and > 0")
 
     @property
-    def snr_db(self) -> float:
-        """Operating SNR 10 log10(P / N0)."""
-        return 10.0 * math.log10(self.transmit_power / self.noise_var)
-
-    @property
     def quant_level(self) -> float:
         """Per-component 1-bit DAC output level l = sqrt(P / (2B))."""
         return math.sqrt(self.transmit_power / (2.0 * self.num_bs_antennas))

@@ -130,8 +130,9 @@ class SweepConfig:
 
     Construction validates every setting (ids, counts, SNRs, output path),
     so a bad one or a repeated precoder or SNR point (equal in value or in
-    its CSV label) fails before any trial runs. Like :class:`TrialConfig`,
-    it holds no solver setting.
+    its CSV label) fails before any trial runs. Every point runs all
+    ``trials`` for every precoder. Like :class:`TrialConfig`, it holds no
+    solver setting.
     """
 
     num_bs_antennas: int
@@ -144,7 +145,6 @@ class SweepConfig:
     trials: int
     seed: int
     out: str | Path | None = None
-    stop_after_errors: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
@@ -162,7 +162,6 @@ class SweepConfig:
                                  f"{a!r} (CSV labels {clash[0]:g}, {a:g})")
         _check_count("trials", self.trials, 1)
         _check_count("seed", self.seed, 0)
-        _check_count("stop_after_errors", self.stop_after_errors, 0)  # 0 disables
         if self.out is not None and Path(self.out).is_dir():
             raise ValueError(f"output path {str(self.out)!r} names a directory, not a file")
         if self.out is not None and not Path(self.out).parent.is_dir():
@@ -188,7 +187,7 @@ class BerRecord:
     metadata kept out of the CSV so reruns stay byte-identical.
     ``wall_time`` is the time of this precoder's own trials at the point.
     Each trial's seed derivation and its draw (see :func:`sweep`) are
-    charged to the first precoder still running in that trial.
+    charged to the first precoder.
     """
 
     snr_db: float
@@ -365,20 +364,17 @@ def sweep(cfg: SweepConfig) -> list:
     """Run the Monte-Carlo sweep, writing the CSV to ``out`` if it is set.
 
     Iterates SNR points and, within a point, trials: each trial's seed comes
-    from :func:`trial_seed_for` once, and every precoder still running at
-    the point runs that trial in ``cfg.precoders`` order, reusing the first
-    one's draw. A rerun with the same configuration produces byte-identical
-    CSV output. A trial that raises ``np.linalg.LinAlgError`` or
-    ``ValueError`` is counted in that precoder's ``failures`` rather than
-    dropped silently; any other exception propagates and ends the run,
-    keeping the points already written. With ``stop_after_errors``
-    above 0, a precoder stops accumulating trials at a point once it has
-    seen that many bit errors, and the others run on; 0, the default, runs
-    every trial. A point ends when its trials run out or no precoder is
-    left; its rows are then written in precoder order and flushed together,
-    so an interrupted sweep keeps its finished points, whole. Records come
-    in the same order, and each one's ``wall_time`` follows
-    :class:`BerRecord`'s rule.
+    from :func:`trial_seed_for` once, and every precoder runs that trial in
+    ``cfg.precoders`` order, reusing the first one's draw, so each BER is
+    errors over a fixed number of bits. A rerun with the same configuration
+    produces byte-identical CSV output. A trial that raises
+    ``np.linalg.LinAlgError`` or ``ValueError`` is counted in that
+    precoder's ``failures`` rather than dropped silently; any other
+    exception propagates and ends the run, keeping the points already
+    written. A point's rows are written in precoder order and flushed
+    together once its trials run out, so an interrupted sweep keeps its
+    finished points, whole. Records come in the same order, and each one's
+    ``wall_time`` follows :class:`BerRecord`'s rule.
     """
     records = []
     with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
@@ -386,13 +382,13 @@ def sweep(cfg: SweepConfig) -> list:
         for point_index, snr_db in enumerate(cfg.snr_db):
             point = [BerRecord(snr_db, p, cfg.constellation, cfg.estimator)
                      for p in cfg.precoders]
-            running = [(r, cfg.trial_config(snr_db, r.precoder)) for r in point]
+            runs = [(r, cfg.trial_config(snr_db, r.precoder)) for r in point]
             for trial_index in range(cfg.trials):
                 # the seed derivation and the draw count against the first
                 # precoder of the trial
                 t = time.perf_counter()
                 seed = trial_seed_for(cfg.seed, point_index, trial_index)
-                for r, tcfg in running:
+                for r, tcfg in runs:
                     r.trials += 1
                     try:
                         res = run_trial(tcfg, seed)
@@ -406,10 +402,6 @@ def sweep(cfg: SweepConfig) -> list:
                     now = time.perf_counter()
                     r.wall_time += now - t
                     t = now
-                running = [(r, tcfg) for r, tcfg in running
-                           if not 0 < cfg.stop_after_errors <= r.bit_errors]
-                if not running:
-                    break
             records.extend(point)
             out.write("".join(f"{r.csv_row()}\n" for r in point))
             out.flush()

@@ -30,13 +30,13 @@ class TestConfigFile:
             "ues = 2\n"
             "snr_db = 0, 5, 10   # dB\n"
             "precoder = zfq,squid\n"
-            "stop_after_errors = 50\n"
+            "trials = 50\n"
             "\n"
         )
         values = parse_config_file(cfg, build_parser())
         assert values["bs_antennas"] == "8"
         assert values["snr_db"] == "0, 5, 10"
-        assert values["stop_after_errors"] == "50"
+        assert values["trials"] == "50"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -53,14 +53,14 @@ class TestConfigFile:
 
     def test_cli_overrides_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\nstop_after_errors = 5\n")
+        cfg.write_text("bs_antennas = 8\ntrials = 4\nseed = 3\nconstellation = 8psk\n")
         settings = _settings(["--config", str(cfg), "--trials", "9",
-                              "--stop-after-errors", "7"])
+                              "--constellation", "16qam"])
         assert settings.bs_antennas == 8   # from file
         assert settings.trials == 9        # CLI wins
         assert settings.seed == 3          # from file
         assert settings.ues == 16          # default
-        assert settings.stop_after_errors == 7
+        assert settings.constellation == "16qam"
 
     def test_shipped_example_builds_its_sweep(self):
         sweep_cfg = sweep_config(_settings(["--config", str(EXAMPLE_CONFIG)]))
@@ -68,25 +68,25 @@ class TestConfigFile:
         assert sweep_cfg.snr_db == (-8.0, -4.0, 0.0, 4.0, 8.0, 12.0)
         assert sweep_cfg.constellation == "16qam"
         assert sweep_cfg.precoders == ("zfq", "squid")
-        assert sweep_cfg.stop_after_errors == 0
+        assert sweep_cfg.trials == 100
 
 
 class TestSweepConfigMapping:
     def test_lists_and_config_file_values(self, tmp_path):
         cfg_file = tmp_path / "s.cfg"
-        cfg_file.write_text("stop_after_errors = 123\nseed = 4\n")
+        cfg_file.write_text("trials = 123\nseed = 4\n")
         settings = _settings([
             "--config", str(cfg_file),
             "--bs-antennas", "4", "--ues", "2", "--slots", "2",
             "--snr-db", "0,6", "--precoder", "zfq, squid",
             "--constellation", "QPSK", "--estimator", "genie",
-            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            "--seed", "1", "--out", str(tmp_path / "o.csv"),
         ])
         sweep_cfg = sweep_config(settings)
         assert sweep_cfg.snr_db == (0.0, 6.0)
         assert sweep_cfg.precoders == ("zfq", "squid")
         assert sweep_cfg.constellation == "qpsk"
-        assert sweep_cfg.stop_after_errors == 123
+        assert sweep_cfg.trials == 123
         assert sweep_cfg.seed == 1
 
     def test_ids_are_stripped_and_lower_cased(self):
@@ -97,10 +97,6 @@ class TestSweepConfigMapping:
         assert sweep_cfg.constellation == "16qam"
         assert sweep_cfg.estimator == "pilot"
         assert sweep_cfg.precoders == ("zfq",)
-
-    def test_stop_after_errors_zero_disables(self):
-        settings = _settings(["--stop-after-errors", "0"])
-        assert sweep_config(settings).stop_after_errors == 0
 
     def test_negative_snr_list_with_equals_form(self):
         settings = _settings(["--snr-db=-8,-4,0"])
@@ -189,7 +185,7 @@ class TestMain:
 
     @pytest.mark.parametrize("file_text, argv, message", [
         ("trials = abc\n", [], "invalid int value: 'abc'"),
-        ("", ["--stop-after-errors", "-1"], "argument --stop-after-errors: must be >= 0, got -1"),
+        ("", ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         ("", ["--precoder", "zfq,nope"], "unknown precoder 'nope'"),
         ("", ["--constellation", "5qam"], "unknown constellation '5qam'"),
         ("sdr.block_mode = false\n", [], "unknown key 'sdr.block_mode'"),
@@ -211,6 +207,9 @@ class TestMain:
         ("", ["--snr-db=-0,0"], "snr_db lists one point twice: -0.0 and 0.0"),
         ("", ["--snr-db", "1.0000001,1.0000002"],
          "snr_db lists one point twice: 1.0000001 and 1.0000002"),
+        # every point runs all its trials, so an early-stop file or flag fails loudly
+        ("stop_after_errors = 5\n", [], "unknown key 'stop_after_errors'"),
+        ("", ["--stop-after-errors", "5"], "unrecognized arguments: --stop-after-errors 5"),
     ])
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):

@@ -302,7 +302,6 @@ class TestSweep:
                           dict(snr_db=()),
                           dict(trials=0),
                           dict(seed=-1),
-                          dict(stop_after_errors=-1),
                           dict(constellation=" 16qam"),
                           dict(constellation="QPSK"),
                           dict(precoders=("ZFQ",)),
@@ -313,7 +312,7 @@ class TestSweep:
         # a non-integral count would only fail inside the first trial
         for field, value in (("num_bs_antennas", 4.5), ("num_ues", 2.0),
                              ("num_slots", 2.0), ("trials", 2.5), ("seed", 1.5),
-                             ("stop_after_errors", 10.0), ("trials", True)):
+                             ("trials", True)):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 self._cfg(**{field: value})
         with pytest.raises(ValueError, match="precoder 'zfq' is listed more than once"):
@@ -326,8 +325,7 @@ class TestSweep:
 
     def test_numpy_integer_counts_accepted(self):
         counts = dict(num_bs_antennas=np.int64(4), num_ues=np.int64(2),
-                      num_slots=np.int64(2), trials=np.int64(3), seed=np.int64(9),
-                      stop_after_errors=np.int64(0))
+                      num_slots=np.int64(2), trials=np.int64(3), seed=np.int64(9))
         assert ([r.csv_row() for r in sweep(self._cfg(**counts))]
                 == [r.csv_row() for r in sweep(self._cfg())])
 
@@ -371,11 +369,9 @@ class TestSweep:
         return [rows[point] for point in range(len(cfg.snr_db)) for rows in alone]
 
     @pytest.mark.parametrize("overrides", (
-        # zfq reaches the error count at -10 dB first and squid runs on
-        dict(snr_db=(-10.0, 6.0), trials=20, stop_after_errors=30),
         # bruteforce is over its guard, so each of its trials fails first
         dict(num_bs_antennas=16, precoders=("bruteforce", "zfq"), trials=4),
-    ), ids=("stop_after_errors", "failing_precoder"))
+    ), ids=("failing_precoder",))
     def test_shared_draw_matches_single_precoder_sweeps(self, overrides):
         cfg = self._cfg(**overrides)
         together = sweep(cfg)
@@ -383,12 +379,8 @@ class TestSweep:
         assert ([dataclasses.replace(r, wall_time=0.0) for r in together]
                 == [dataclasses.replace(r, wall_time=0.0) for r in alone])
         assert records_to_csv(together) == records_to_csv(alone)
-        if cfg.stop_after_errors:
-            zfq, squid = together[:2]
-            assert zfq.trials < squid.trials < cfg.trials
-        else:
-            assert together[0].failures == cfg.trials
-            assert together[1].failures == 0 and together[1].bits_total > 0
+        assert together[0].failures == cfg.trials
+        assert together[1].failures == 0 and together[1].bits_total > 0
 
     def test_interrupt_keeps_whole_points_of_every_precoder(self, tmp_path,
                                                             monkeypatch):
@@ -482,13 +474,6 @@ class TestSweep:
                                       precoder="squid", estimator=estimator)
                     counts[estimator] = run_trial(cfg, seed).bit_errors
                 assert np.array_equal(counts["genie"], counts["blind"])
-
-    def test_early_stop_reduces_trials(self):
-        noisy = self._cfg(snr_db=(-10.0,), precoders=("zfq",), trials=50,
-                          stop_after_errors=5)
-        records = sweep(noisy)
-        assert records[0].bit_errors >= 5
-        assert records[0].trials < 50
 
     def test_hard_failures_counted_not_dropped(self):
         cfg = self._cfg(num_bs_antennas=16, precoders=("bruteforce",),
