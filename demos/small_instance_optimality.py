@@ -31,12 +31,13 @@ from onebit_mimo import (
     zf_matrix,
 )
 
+snr_db = 10.0
 cfg = SystemConfig.from_snr_db(num_bs_antennas=3, num_ues=2, num_slots=2,
-                               snr_db=10.0)
+                               snr_db=snr_db)
 qpsk = get_constellation("qpsk")
 
 print(f"B={cfg.num_bs_antennas}, U={cfg.num_ues}, K={cfg.num_slots}, "
-      f"snr={cfg.snr_db:.0f} dB, search space 4^(BK)={4 ** 6} frames")
+      f"snr={snr_db:.0f} dB, search space 4^(BK)={4 ** 6} frames")
 print(f"{'seed':>4} {'sdp bound':>10} {'optimum':>10} {'sdr':>10} "
       f"{'squid':>10} {'zfq':>10} {'mrtq':>10}")
 
