@@ -16,7 +16,8 @@ every point runs all its ``trials``, so they alone set its precision.
 
 Exit status is 2 for an invalid setting (no trial runs), 1 when any trial
 recorded a hard failure, 130 when the sweep is interrupted (Ctrl-C; the
-CSV then holds the header and every finished point), and 0 otherwise.
+CSV then holds the header and every finished point, and a line on stderr
+says how many of the SNR points that is), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -143,7 +144,10 @@ def main(argv=None) -> int:
     try:
         records = sweep(cfg)
     except KeyboardInterrupt:
-        print(f"interrupted; {cfg.out} holds the header and every finished point",
+        # the sweep writes each point's rows at once, so the rows count whole points
+        rows = len(Path(cfg.out).read_text(encoding="ascii").splitlines()) - 1
+        print(f"interrupted; {cfg.out} holds the header and every finished point: "
+              f"{rows // len(cfg.precoders)} of {len(cfg.snr_db)} SNR points",
               file=sys.stderr)
         return 130
     hard_failures = 0

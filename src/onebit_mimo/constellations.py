@@ -20,9 +20,13 @@ that bit error rates are reproducible:
 
 Detection is minimum-distance with ties broken toward the lowest label, which
 makes it deterministic. It returns label codes; ``labels[codes]`` are their
-bits. For constant-modulus sets the decision is invariant to any positive
-scaling of the input, so those constellations never need an amplitude
-estimate at the receiver.
+bits. Grids of 8 or more levels per axis (64-QAM) are decided per axis,
+over sqrt(M) levels on each axis instead of M points, with the same tie rule
+and, bit for bit, the codes of the joint search; QPSK, 16-QAM and the PSK
+sets are searched jointly, which costs less on so few points. For
+constant-modulus sets the decision is invariant to any positive scaling of
+the input, so those constellations never need an amplitude estimate at the
+receiver.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ class Constellation:
 
     points: np.ndarray          # complex, shape (M,)
     labels: np.ndarray          # uint8, shape (M, m)
+    #: a grid's (in-phase, quadrature) levels, read off ``points``, when
+    #: :func:`detect` decides it per axis; None for a joint search
+    axes: tuple | None = None
 
     @property
     def bits_per_symbol(self) -> int:
@@ -64,11 +71,24 @@ def _psk(order: int) -> Constellation:
     return Constellation(points, _labels(order))
 
 
+#: a grid with this many levels per axis or more is decided per axis; on
+#: fewer, the joint search over all M points costs less (16 x 10 samples, numpy
+#: 2.4 on a 2-core Xeon VM: 4 levels 33 us per axis against 30 us jointly,
+#: 8 levels 34 against 53 us)
+_PER_AXIS_MIN_LEVELS = 8
+
+
 def _square(axis: np.ndarray) -> Constellation:
     """Grid whose label (g_i, g_q) sits at axis[g_i] + j axis[g_q], Es = 1."""
     scale = 1.0 / np.sqrt(2.0 * np.mean(axis ** 2))
     points = scale * (axis[:, None] + 1j * axis).ravel()
-    return Constellation(points, _labels(axis.size ** 2))
+    side = axis.size
+    labels = _labels(side ** 2)
+    if side < _PER_AXIS_MIN_LEVELS:
+        return Constellation(points, labels)
+    # label g_i * side + g_q: taking the levels from the table keeps each
+    # per-axis difference equal to the joint search's
+    return Constellation(points, labels, (points.real[::side], points.imag[:side]))
 
 
 def _square_qam(order: int) -> Constellation:
@@ -113,6 +133,25 @@ def detect(shat, c: Constellation):
     indexes ``c.points``, and ``c.labels[codes]`` are the detected bits.
     """
     arr = np.asarray(shat, dtype=complex)
-    re = arr.real[..., None] - c.points.real
-    im = arr.imag[..., None] - c.points.imag
-    return np.argmin(re * re + im * im, axis=-1)
+    if c.axes is None:
+        re = arr.real[..., None] - c.points.real
+        im = arr.imag[..., None] - c.points.imag
+        return np.argmin(re * re + im * im, axis=-1)
+    # The joint search ranks label g_i * n + g_q (n levels per axis) by the
+    # rounded sum a[g_i] + b[g_q] of per-axis squared distances. Rounding
+    # never reverses an order, so its first minimum has the lowest g_i whose
+    # a + min(b) is least and then the lowest g_q whose a[g_i] + b is least:
+    # the same code, for ties and non-finite samples too.
+    in_phase, quadrature = c.axes
+    x, y = arr.real.ravel(), arr.imag.ravel()
+    a = x - in_phase[:, None]
+    a *= a
+    b = y - quadrature[:, None]
+    b *= b
+    a += b.min(axis=0)
+    g_i = a.argmin(axis=0)
+    d = x - in_phase[g_i]
+    b += d * d
+    codes = b.argmin(axis=0)
+    codes += g_i * in_phase.size
+    return codes.reshape(arr.shape)

@@ -18,6 +18,7 @@ still not finite and positive raises ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,9 @@ class FactorEstimate(NamedTuple):
 
 
 def _checked(betas: np.ndarray, clamped: np.ndarray) -> FactorEstimate:
-    if not np.all(np.isfinite(betas) & (betas > 0)):
+    # a NaN carries through min and max and fails the comparison; an empty
+    # array, which holds no estimate, passes
+    if not (betas.min(initial=math.inf) > 0 and betas.max(initial=0.0) < math.inf):
         raise ValueError("estimate must be finite and positive")
     return FactorEstimate(betas, int(np.count_nonzero(clamped)))
 

@@ -284,8 +284,9 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     y = apply_channel(h, pre.x, noise)
     est = estimate(pre, y, cfg)
     s_hat = est.betas[:, None] * y[:, pilots:]
-    bits_hat = const.labels[detect(s_hat, const)].reshape(system.num_ues, -1)
-    bit_errors = np.sum(bits_hat != frame.bits, axis=1)
+    # take and the sum method skip the dispatch of fancy indexing and np.sum
+    bits_hat = const.labels.take(detect(s_hat, const), axis=0).reshape(system.num_ues, -1)
+    bit_errors = (bits_hat != frame.bits).sum(axis=1)
 
     return TrialResult(
         bit_errors=bit_errors,

@@ -59,6 +59,16 @@ def linear_scan_detect(shat, points):
     return best
 
 
+def joint_search_detect(shat, points):
+    """Nearest point by one argmin over the rounded |shat - p|^2 of all M
+    points, ties to the lowest index: the search that a per-axis decision on
+    a square grid must reproduce code for code, near-ties included."""
+    shat = np.asarray(shat, dtype=complex)[..., None]
+    re = shat.real - points.real
+    im = shat.imag - points.imag
+    return np.argmin(re * re + im * im, axis=-1)
+
+
 def bisection_prox_sq_inf(v, tau, iters=200):
     """Prox of tau*||.||_inf^2 via bisection on the stationarity equation.
 

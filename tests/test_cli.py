@@ -137,29 +137,35 @@ class TestMain:
 
     def test_interrupt_exits_130_keeping_finished_points(self, tmp_path, capsys,
                                                           monkeypatch):
-        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
-        main(self.ARGS + ["--out", str(full)])
-        finished = full.read_text().splitlines(keepends=True)[:2]
+        # two precoders, so a point is two rows of the CSV
+        args = self.ARGS + ["--precoder", "zfq,mrtq"]
+        full = tmp_path / "full.csv"
+        main(args + ["--out", str(full)])
+        rows = full.read_text().splitlines(keepends=True)
         capsys.readouterr()
-        calls = []
         uninterrupted = sim.run_trial
+        # the call that is cut: the first of point 0, the first and the last of
+        # point 1 (each point runs 3 trials x 2 precoders)
+        for cut_call, points in ((1, 0), (7, 1), (12, 1)):
+            calls = []
 
-        def interrupt_in_point_1(tcfg, seed):
-            calls.append(seed)
-            if len(calls) == 3 + 1:  # point 1's first trial (3 per point)
-                raise KeyboardInterrupt
-            return uninterrupted(tcfg, seed)
+            def interrupt(tcfg, seed):
+                calls.append(seed)
+                if len(calls) == cut_call:
+                    raise KeyboardInterrupt
+                return uninterrupted(tcfg, seed)
 
-        monkeypatch.setattr(sim, "run_trial", interrupt_in_point_1)
-        try:
-            code = main(self.ARGS + ["--out", str(cut)])
-        except KeyboardInterrupt:
-            pytest.fail("the interrupt escaped main")
-        assert code == 130
-        err = capsys.readouterr().err
-        assert f"{cut} holds the header and every finished point" in err
-        assert "Traceback" not in err
-        assert cut.read_text() == "".join(finished)
+            monkeypatch.setattr(sim, "run_trial", interrupt)
+            cut = tmp_path / f"cut{cut_call}.csv"
+            try:
+                code = main(args + ["--out", str(cut)])
+            except KeyboardInterrupt:
+                pytest.fail("the interrupt escaped main")
+            assert code == 130
+            captured = capsys.readouterr()
+            assert captured.err == (f"interrupted; {cut} holds the header and every "
+                                    f"finished point: {points} of 2 SNR points\n")
+            assert cut.read_text() == "".join(rows[:1 + 2 * points])
 
     def test_hard_failures_exit_nonzero(self, tmp_path, capsys):
         # brute force guard trips at B=16, so every trial fails hard

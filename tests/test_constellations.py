@@ -5,10 +5,25 @@ import pytest
 
 from onebit_mimo import CONSTELLATION_IDS, detect, get_constellation, modulate
 
-from oracles import linear_scan_detect
+from oracles import joint_search_detect, linear_scan_detect
 
 ALL_IDS = list(CONSTELLATION_IDS)
 CONSTANT_MODULUS_IDS = ["qpsk", "8psk", "16psk"]
+SQUARE_IDS = ["qpsk", "16qam", "64qam"]
+
+
+def _complex(re, im):
+    """re + j im without the NaN that 1j * inf makes of a zero real part."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _assert_matches_linear_scan(shat, c):
+    codes = detect(shat, c)
+    assert codes.shape == np.shape(shat)
+    for k in np.ndindex(codes.shape):
+        assert codes[k] == linear_scan_detect(shat[k], c.points), shat[k]
 
 
 @pytest.mark.parametrize("name", ALL_IDS)
@@ -112,6 +127,84 @@ class TestDetect:
     def test_qam_is_not_constant_modulus(self):
         mags = np.abs(get_constellation("16qam").points)
         assert not mags.max() - mags.min() < 1e-12
+
+    def test_64qam_axes_are_read_off_the_table(self):
+        c = get_constellation("64qam")
+        in_phase, quadrature = c.axes
+        grid = (in_phase[:, None] + 1j * quadrature).ravel()
+        assert np.array_equal(grid.real, c.points.real)
+        assert np.array_equal(grid.imag, c.points.imag)
+
+    @pytest.mark.parametrize("name", ["qpsk", "16qam", "8psk", "16psk"])
+    def test_joint_search_below_64_points(self, name):
+        assert get_constellation(name).axes is None
+
+    @pytest.mark.parametrize("name", SQUARE_IDS)
+    def test_exact_ties_match_linear_scan(self, name):
+        # every midpoint that lies exactly between its two adjacent levels,
+        # against every level and such midpoint on the other axis; each tie
+        # goes to the lowest label
+        c = get_constellation(name)
+        levels = np.unique(c.points.real)
+        mids = (levels[:-1] + levels[1:]) / 2
+        mids = mids[mids - levels[:-1] == levels[1:] - mids]
+        assert 0.0 in mids and len(mids) == {"qpsk": 1, "16qam": 1, "64qam": 5}[name]
+        values = np.concatenate([levels, mids])
+        shat = np.concatenate([_complex(mids[:, None], values).ravel(),
+                               _complex(values[:, None], mids).ravel(), [0j]])
+        _assert_matches_linear_scan(shat, c)
+
+    @pytest.mark.parametrize("name", ["64qam"])
+    def test_codes_equal_joint_search(self, name):
+        # bit for bit, where rounding decides: at every float midpoint, also
+        # those an ulp off the true one, and far out, where one axis's
+        # distance swamps the other's
+        c = get_constellation(name)
+        levels = np.unique(c.points.real)
+        mids = (levels[:-1] + levels[1:]) / 2
+        values = np.concatenate([levels, mids, np.nextafter(mids, np.inf),
+                                 [1e10, -1e10, 1e150, np.inf, -np.inf, np.nan]])
+        rng = np.random.default_rng(21)
+        shat = np.concatenate([_complex(values[:, None], values).ravel(),
+                               _complex(rng.standard_normal(2000),
+                                        rng.standard_normal(2000))])
+        assert np.array_equal(detect(shat, c), joint_search_detect(shat, c.points))
+
+    @pytest.mark.parametrize("name", SQUARE_IDS + ["8psk"])
+    def test_far_outside_the_grid_matches_linear_scan(self, name):
+        c = get_constellation(name)
+        near = np.concatenate([np.unique(c.points.real), [0.0, 0.3, -0.7]])
+        far = np.array([3.0, -25.0, 1e3, -1e6, 1e10])
+        rng = np.random.default_rng(19)
+        angles = np.exp(2j * np.pi * rng.random(50))
+        shat = np.concatenate([_complex(far[:, None], near).ravel(),
+                               _complex(near[:, None], far).ravel(),
+                               _complex(far[:, None], far).ravel(),
+                               (far[:, None] * angles).ravel()])
+        _assert_matches_linear_scan(shat, c)
+
+    @pytest.mark.parametrize("name", SQUARE_IDS + ["8psk"])
+    def test_nonfinite_samples_match_linear_scan(self, name):
+        # the scan finds no point nearer than infinity, so label 0
+        c = get_constellation(name)
+        finite = np.array([0.0, 0.4, -1.1, 30.0])
+        bad = np.array([np.nan, np.inf, -np.inf])
+        shat = np.concatenate([_complex(bad[:, None], finite).ravel(),
+                               _complex(finite[:, None], bad).ravel(),
+                               _complex(bad[:, None], bad).ravel()])
+        _assert_matches_linear_scan(shat, c)
+        assert not detect(shat, c).any()
+
+    @pytest.mark.parametrize("name", SQUARE_IDS + ["8psk"])
+    def test_block_and_scalar_shapes(self, name):
+        c = get_constellation(name)
+        rng = np.random.default_rng(20)
+        block = _complex(rng.standard_normal((16, 10)), rng.standard_normal((16, 10)))
+        _assert_matches_linear_scan(block, c)
+        _assert_matches_linear_scan(block[:, :0], c)
+        scalar = detect(complex(block[3, 4]), c)
+        assert np.shape(scalar) == ()
+        assert scalar == linear_scan_detect(block[3, 4], c.points)
 
     def test_unknown_id_rejected(self):
         # an id has one spelling: the command line strips and lower-cases

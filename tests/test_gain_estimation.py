@@ -10,7 +10,7 @@ from onebit_mimo import (
     genie_estimate,
     pilot_mle,
 )
-from onebit_mimo.gain_estimation import EPS_BETA
+from onebit_mimo.gain_estimation import EPS_BETA, _checked
 
 
 class TestPilotMle:
@@ -63,6 +63,15 @@ class TestPilotMle:
     def test_nonfinite_observation_rejected(self):
         with pytest.raises(ValueError):
             pilot_mle(np.array([1.0, np.nan + 0j]))
+
+    @pytest.mark.parametrize("pilot", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                       complex(0.5, math.inf), complex(-math.inf, 2.0)],
+                             ids=["inf", "-inf", "inf-imag", "-inf-real"])
+    def test_infinite_pilot_clamped(self, pilot):
+        # Re{1/y} is 0 for one infinite part, the limit of the formula
+        est = pilot_mle(np.array([1.0, pilot]))
+        assert np.array_equal(est.betas, [1.0, EPS_BETA])
+        assert est.clamped == 1
 
 
 class TestBlindEstimate:
@@ -133,3 +142,33 @@ class TestGenie:
     def test_nonfinite_factor_rejected(self):
         with pytest.raises(ValueError):
             genie_estimate(math.nan, num_ues=2)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: genie_estimate(math.inf, num_ues=3),
+    lambda: genie_estimate(math.nan, num_ues=3),
+    lambda: pilot_mle(np.array([1.0, complex(math.inf, math.inf)])),
+    lambda: pilot_mle(np.array([complex(math.nan, 1.0), 1.0])),
+    lambda: blind_estimate(np.array([[1.0, 1.0], [math.inf, 1.0]]), noise_var=0.1),
+    lambda: blind_estimate(np.array([[1.0, 1j], [0.5, complex(0.0, -math.inf)]]), noise_var=0.1),
+    lambda: blind_estimate(np.array([[1.0, math.nan], [1.0, 1.0]]), noise_var=0.1),
+], ids=["genie-inf", "genie-nan", "pilot-inf+infj", "pilot-nan", "blind-inf",
+        "blind-inf-imag", "blind-nan"])
+def test_each_estimator_raises_on_nonfinite_input(estimate):
+    # an infinite sample drives the blind estimate to 0; an infinite pilot
+    # part alone is clamped (see TestPilotMle)
+    with pytest.raises(ValueError, match="finite and positive"):
+        estimate()
+
+
+@pytest.mark.parametrize("betas, ok", [
+    ([0.5, 2.0], True), ([], True), ([0.5, math.nan], False), ([math.inf, 1.0], False),
+    ([1.0, -math.inf], False), ([0.0, 1.0], False), ([1.0, -3.0], False),
+], ids=["positive", "empty", "nan", "inf", "-inf", "zero", "negative"])
+def test_checked_admits_only_finite_positive_estimates(betas, ok):
+    betas = np.array(betas, dtype=float)
+    if ok:
+        assert _checked(betas, np.zeros(betas.shape, bool)).clamped == 0
+    else:
+        with pytest.raises(ValueError, match="finite and positive"):
+            _checked(betas, np.zeros(betas.shape, bool))
