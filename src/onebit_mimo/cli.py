@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         print(f"snr={rec.snr_db:g} dB  precoder={rec.precoder}  "
               f"constellation={rec.constellation}  estimator={rec.estimator}  "
               f"ber={rec.ber:.3e}  bits={rec.bits_total}  "
-              f"clamps={rec.clamp_flags}  flags={rec.precoder_flags}  "
+              f"clamps={rec.clamp_flags}  nonconverged={rec.nonconverged}  "
               f"failures={rec.failures}")
         hard_failures += rec.failures
     print(f"wrote {cfg.out}")

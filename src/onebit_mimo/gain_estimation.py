@@ -12,8 +12,9 @@ once over all U UEs:
   unknown in practice and defaults to 0
 
 The estimators are undefined for nonpositive real parts / denominators, so
-values are clamped (and counted) to keep sweeps running. An estimate that is
-still not finite and positive raises ``ValueError``.
+values are clamped (and counted) to keep sweeps running. A non-finite
+received sample, or an estimate that is still not finite and positive, raises
+``ValueError``, so the trial fails rather than going on at a clamped factor.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def pilot_mle(y1) -> FactorEstimate:
     pilot sample per UE (a scalar is one UE).
     """
     y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
+    # Re{1/y} is 0 where one part of y is infinite, which would be clamped
+    if not np.isfinite(y1).all():
+        raise ValueError("a non-finite pilot sample has no finite and positive estimate")
     # numpy divides complex numbers by Smith's method, as CPython divides a
     # complex scalar, so the estimates match the scalar formula bit for bit
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -70,6 +74,8 @@ def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstima
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     if y.shape[1] < 1:
         raise ValueError("need at least one received sample")
+    # a non-finite sample makes the denominator infinite or NaN, and the
+    # estimate 0 or NaN, which _checked rejects
     denom = np.mean(np.abs(y) ** 2, axis=1) - err_energy - noise_var
     clamped = denom < EPS_DENOM
     return _checked(np.sqrt(1.0 / np.where(clamped, EPS_DENOM, denom)), clamped)

@@ -201,14 +201,13 @@ class SymbolFrame:
 class PrecodeResult:
     """1-bit transmit frame X in {+-l +-jl}^(B x K) and its precoding factor.
 
-    ``flags`` carries soft solver events ("squid_nonconverged",
-    "sdr_nonconverged", "degenerate_eigenvector"); the frame itself is always
-    valid.
+    ``converged`` is False when an iterative precoder's solver stopped on its
+    iteration budget; the frame itself is always valid.
     """
 
     x: np.ndarray
     beta: float
-    flags: tuple = ()
+    converged: bool = True
 
 
 @dataclass(frozen=True)

@@ -174,13 +174,11 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
     quantized (:func:`one_bit_quantize`) and de-embedded to a frame in
     {+-l +-jl}, and the precoding factor is the conditional optimum for the
     rounded frame. A (near-)degenerate leading eigenvalue is resolved
-    deterministically by the eigensolver's ordering and flagged.
+    deterministically by the eigensolver's ordering. The result is
+    ``converged`` as ``sol`` is.
     """
-    eigvals, eigvecs = np.linalg.eigh(sol.x)
+    _, eigvecs = np.linalg.eigh(sol.x)
     leading = eigvecs[:, -1]
-    flags = []
-    if eigvals[-1] - eigvals[-2] <= 1e-10 * max(abs(eigvals[-1]), 1.0):
-        flags.append("degenerate_eigenvector")
     if leading[-1] < 0:
         leading = -leading
 
@@ -188,9 +186,7 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
     b_r = unvec(leading[:-1], rows, (leading.size - 1) // rows)
     x = unstack_real(one_bit_quantize(b_r, cfg.quant_level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    if not sol.converged:
-        flags.append("sdr_nonconverged")
-    return PrecodeResult(x=x, beta=beta, flags=tuple(flags))
+    return PrecodeResult(x=x, beta=beta, converged=sol.converged)
 
 
 def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
@@ -198,19 +194,16 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
 
     Solves K independent single-slot SDPs (dimension 2B+1 each) and
     concatenates the rounded slots; the returned factor is the conditional
-    optimum for the full rounded frame.
+    optimum for the full rounded frame. The result is ``converged`` only if
+    every slot's ADMM converged.
     """
     s = np.asarray(s, dtype=complex)
     h_r, s_r = real_embed(h), stack_real(s)
-    flags: list[str] = []
-    columns = []
+    slots = []
     for k in range(s.shape[1]):
         sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power))
-        slot_result = extract_rank_one(sol, s[:, k:k + 1], h, cfg)
-        columns.append(slot_result.x)
-        flags.extend(f for f in slot_result.flags if f not in flags)
-
-    x = np.concatenate(columns, axis=1)
+        slots.append(extract_rank_one(sol, s[:, k:k + 1], h, cfg))
+    x = np.concatenate([slot.x for slot in slots], axis=1)
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    return PrecodeResult(x=x, beta=beta, flags=tuple(flags))
+    return PrecodeResult(x=x, beta=beta, converged=all(slot.converged for slot in slots))

@@ -120,7 +120,7 @@ class TrialResult:
     bit_errors: np.ndarray
     bits_total: int
     clamp_flags: int
-    precoder_flags: int
+    nonconverged: int
     objective: float
 
 
@@ -183,8 +183,9 @@ class BerRecord:
     """Aggregated error counts for one (SNR, precoder) point.
 
     :func:`sweep` builds each record with zero counts and adds every trial
-    to it in place. ``wall_time``, ``failures`` and ``precoder_flags`` are
-    metadata kept out of the CSV so reruns stay byte-identical.
+    to it in place. ``wall_time``, ``failures`` and ``nonconverged`` (the
+    trials whose solver stopped on its iteration budget) are metadata kept
+    out of the CSV so reruns stay byte-identical.
     ``wall_time`` is the time of this precoder's own trials at the point.
     Each trial's seed derivation and its draw (see :func:`sweep`) are
     charged to the first precoder.
@@ -200,7 +201,7 @@ class BerRecord:
     clamp_flags: int = 0
     wall_time: float = 0.0
     failures: int = 0
-    precoder_flags: int = 0
+    nonconverged: int = 0
 
     @property
     def ber(self) -> float:
@@ -292,7 +293,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
         bit_errors=bit_errors,
         bits_total=int(frame.bits.size),
         clamp_flags=est.clamped,
-        precoder_flags=len(pre.flags),
+        nonconverged=int(not pre.converged),
         objective=qp_objective(s_tx, h, pre.x, pre.beta, system.noise_var),
     )
 
@@ -399,7 +400,7 @@ def sweep(cfg: SweepConfig) -> list:
                         r.bit_errors += int(res.bit_errors.sum())
                         r.bits_total += res.bits_total
                         r.clamp_flags += res.clamp_flags
-                        r.precoder_flags += res.precoder_flags
+                        r.nonconverged += res.nonconverged
                     now = time.perf_counter()
                     r.wall_time += now - t
                     t = now

@@ -269,5 +269,4 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     x_r = one_bit_quantize(relaxed.x, level)
     x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg.noise_var, level))
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    flags = () if relaxed.converged else ("squid_nonconverged",)
-    return PrecodeResult(x=x, beta=beta, flags=flags)
+    return PrecodeResult(x=x, beta=beta, converged=relaxed.converged)

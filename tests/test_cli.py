@@ -184,10 +184,11 @@ class TestMain:
         code = main(self.ARGS + ["--precoder", "squid",
                                  "--out", str(tmp_path / "n.csv")])
         assert code == 0
+        # one iteration never closes the gap, so each of a point's 3 trials counts
         counts = [int(field.split("=")[1])
                   for line in capsys.readouterr().out.splitlines()
-                  for field in line.split() if field.startswith("flags=")]
-        assert len(counts) == 2 and all(n > 0 for n in counts)
+                  for field in line.split() if field.startswith("nonconverged=")]
+        assert counts == [3, 3]
 
     @pytest.mark.parametrize("file_text, argv, message", [
         ("trials = abc\n", [], "invalid int value: 'abc'"),

@@ -67,11 +67,11 @@ class TestPilotMle:
     @pytest.mark.parametrize("pilot", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
                                        complex(0.5, math.inf), complex(-math.inf, 2.0)],
                              ids=["inf", "-inf", "inf-imag", "-inf-real"])
-    def test_infinite_pilot_clamped(self, pilot):
-        # Re{1/y} is 0 for one infinite part, the limit of the formula
-        est = pilot_mle(np.array([1.0, pilot]))
-        assert np.array_equal(est.betas, [1.0, EPS_BETA])
-        assert est.clamped == 1
+    def test_infinite_pilot_rejected(self, pilot):
+        # Re{1/y} is 0 for one infinite part; a clamp to EPS_BETA there
+        # would let the trial go on counting bit errors
+        with pytest.raises(ValueError, match="non-finite pilot sample"):
+            pilot_mle(np.array([1.0, pilot]))
 
 
 class TestBlindEstimate:
@@ -155,8 +155,6 @@ class TestGenie:
 ], ids=["genie-inf", "genie-nan", "pilot-inf+infj", "pilot-nan", "blind-inf",
         "blind-inf-imag", "blind-nan"])
 def test_each_estimator_raises_on_nonfinite_input(estimate):
-    # an infinite sample drives the blind estimate to 0; an infinite pilot
-    # part alone is clamped (see TestPilotMle)
     with pytest.raises(ValueError, match="finite and positive"):
         estimate()
 

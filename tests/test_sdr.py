@@ -24,6 +24,7 @@ from onebit_mimo import (
     vec,
 )
 
+from onebit_mimo import sdr
 from oracles import refined_search_sdp_n3
 
 
@@ -169,7 +170,7 @@ class TestSolveSdp:
         sol = solve_sdp(_lifted_problem(frame.s, h, cfg), tol=1e-12, max_iters=5)
         assert not sol.converged
         assert sol.iterations == 5
-        assert "sdr_nonconverged" in extract_rank_one(sol, frame.s, h, cfg).flags
+        assert not extract_rank_one(sol, frame.s, h, cfg).converged
 
 
 class TestExtractRankOne:
@@ -223,15 +224,6 @@ class TestExtractRankOne:
                 close += 1
         assert close >= int(0.9 * trials)
 
-    def test_degenerate_spectrum_flagged(self):
-        cfg = SystemConfig(1, 1, 1, noise_var=0.2)
-        h = gen_rayleigh_channel(1, 1, seed=56)
-        frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=57)
-        sol = SolverResult(x=np.eye(3), objective=0.0, iterations=1,
-                           converged=True, history=np.zeros((1, 2)))
-        res = extract_rank_one(sol, frame.s, h, cfg)
-        assert "degenerate_eigenvector" in res.flags
-
 
 class TestSdrPrecode:
     def test_per_slot_equals_independent_calls(self):
@@ -243,6 +235,25 @@ class TestSdrPrecode:
         for k in range(3):
             single = sdr_precode(frame.s[:, k:k + 1], h, cfg1)
             assert np.array_equal(whole.x[:, k:k + 1], single.x)
+
+    @pytest.mark.parametrize("cut_slot", [None, 0, 1, 2])
+    def test_converged_only_if_every_slot_converged(self, monkeypatch, cut_slot):
+        # one slot's ADMM stops on a budget of one iteration
+        solve, calls = sdr.solve_sdp, []
+
+        def solve_cut(problem):
+            calls.append(problem)
+            if len(calls) - 1 == cut_slot:
+                return solve(problem, max_iters=1)
+            return solve(problem)
+
+        monkeypatch.setattr(sdr, "solve_sdp", solve_cut)
+        cfg = SystemConfig(2, 1, 3, noise_var=0.2)
+        h = gen_rayleigh_channel(1, 2, seed=60)
+        frame = SymbolFrame.random(get_constellation("qpsk"), 1, 3, seed=61)
+        res = sdr_precode(frame.s, h, cfg)
+        assert len(calls) == 3
+        assert res.converged is (cut_slot is None)
 
     def test_block_and_per_slot_agree_on_separable_frame(self):
         # duplicated slots make the joint optimum slot-separable; the joint
@@ -274,7 +285,7 @@ class TestSdrPrecode:
         # n = 257 lifted dimension: within the default iteration budget the
         # rounded frame must be valid and beat the quantized-ZF objective;
         # the 1e-6 residual itself is out of reach at this size (sublinear
-        # ADMM tail near the rank-one solution), so the run stays flagged
+        # ADMM tail near the rank-one solution), so the run is not converged
         from onebit_mimo import linear_quantized_precode, zf_matrix
 
         cfg = SystemConfig.from_snr_db(128, 16, 1, snr_db=0.0)
@@ -288,3 +299,4 @@ class TestSdrPrecode:
         zf = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
         obj_zf = qp_objective(frame.s, h, zf.x, zf.beta, cfg.noise_var)
         assert obj_sdr < obj_zf
+        assert not res.converged
