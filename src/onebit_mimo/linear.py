@@ -8,7 +8,9 @@ picked by ``sim.PRECODERS``) and pushes each antenna output through the
 
 with sign(a) = +1 for a >= 0, applied componentwise. Any scaling of the
 linear precoder cancels in the sign, so no normalization is applied before
-quantization.
+quantization. The product P S is rounded in place through its float view;
+the rounding is entrywise, so the frame equals that of rounding
+``stack_real(P S)``, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .model import (
     SystemConfig,
     one_bit_quantize,
     optimal_beta_for,
-    stack_real,
-    unstack_real,
 )
 
 
@@ -45,7 +45,10 @@ def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
     scaling for the quantized frame, which makes this baseline comparable to
     the nonlinear precoders under the common objective.
     """
-    x = unstack_real(one_bit_quantize(stack_real(matrix(h) @ s), cfg.quant_level))
+    # the float view needs a contiguous complex array; a matmul result
+    # already is one, so this copies nothing on the precoders' path
+    z = np.ascontiguousarray(matrix(h) @ s, dtype=complex)
+    x = one_bit_quantize(z.view(float), cfg.quant_level).view(complex)
     beta = optimal_beta_for(x, s, h, cfg.noise_var)
     return PrecodeResult(x=x, beta=beta)
 

@@ -102,11 +102,15 @@ class SystemConfig:
 def one_bit_quantize(z_r: np.ndarray, level: float) -> np.ndarray:
     """The 1-bit rounding every precoder ends with: +level where z_r >= 0, else -level.
 
-    ``z_r`` is a real embedding (2B x K from :func:`stack_real` or :func:`unvec`)
-    and ``level`` is :attr:`SystemConfig.quant_level`; sign(0) = +1.
+    ``z_r`` is any real array, and ``level`` is :attr:`SystemConfig.quant_level`;
+    sign(0) = +1, and NaN rounds to -level. The rounding is entrywise, so a
+    real embedding (2B x K from :func:`stack_real` or :func:`unvec`) and the
+    float view of a contiguous complex frame (B x 2K, each real part next to
+    its imaginary part) give the same entries, each in its own place.
     """
     if np.iscomplexobj(z_r):
-        raise TypeError("one_bit_quantize takes a real embedding such as stack_real(z)")
+        raise TypeError("one_bit_quantize takes a real array such as stack_real(z) "
+                        "or z.view(float)")
     return np.where(z_r >= 0, level, -level)
 
 
@@ -272,7 +276,13 @@ def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float)
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    residual = s - beta * (h @ x)
+    return frame_mse(s, h @ x, beta, noise_var)
+
+
+def frame_mse(s: np.ndarray, hx: np.ndarray, beta: float, noise_var: float) -> float:
+    """:func:`qp_objective` from the noiseless receive HX (U x K) instead of H and X,
+    for a caller that has formed the product already."""
+    residual = s - beta * hx
     u, k = s.shape
     return float(np.sum(np.abs(residual) ** 2) + beta ** 2 * u * k * noise_var)
 

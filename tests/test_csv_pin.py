@@ -5,8 +5,10 @@ compares against text frozen from an earlier version, so any change to the
 seeded streams, the precoders, the estimators, detection or the CSV format
 shows up here. It covers every precoder but the exhaustive oracle with every
 estimator on all five constellations, so the QPSK, PSK and QAM tables and
-their bit labels are pinned too. Regenerate it only for an intended change of
-results, and say why in CHANGES.md.
+their bit labels are pinned too. A second pin runs the linear precoders at
+the paper's size (B=128, U=16, K=10) with pilot estimation and 64-QAM, the
+``linear-pilot`` benchmark point, where the toy size cannot reach. Regenerate
+them only for an intended change of results, and say why in CHANGES.md.
 """
 
 from onebit_mimo import SweepConfig, records_to_csv, sweep
@@ -149,3 +151,21 @@ def test_sweep_csv_matches_pinned_text():
             assert text.startswith(CSV_HEADER + "\n")
             produced.append(text[len(CSV_HEADER) + 1:])
     assert "".join(produced) == PINNED_ROWS
+
+
+PAPER_SIZE_ROWS = """\
+-4,zfq,64qam,pilot,4,3456,1179,0.341145833333,6
+-4,mrtq,64qam,pilot,4,3456,1223,0.353877314815,5
+4,zfq,64qam,pilot,4,3456,808,0.233796296296,0
+4,mrtq,64qam,pilot,4,3456,936,0.270833333333,1
+12,zfq,64qam,pilot,4,3456,581,0.168113425926,0
+12,mrtq,64qam,pilot,4,3456,808,0.233796296296,0
+"""
+
+
+def test_paper_size_linear_sweep_matches_pinned_text():
+    records = sweep(SweepConfig(
+        num_bs_antennas=128, num_ues=16, num_slots=10, snr_db=(-4.0, 4.0, 12.0),
+        constellation="64qam", precoders=("zfq", "mrtq"), estimator="pilot",
+        trials=4, seed=20))
+    assert records_to_csv(records) == CSV_HEADER + "\n" + PAPER_SIZE_ROWS

@@ -97,6 +97,58 @@ class TestOneBitQuantize:
             one_bit_quantize(np.array([1 - 1j, -2 + 3j]), 0.5)
 
 
+class _Product:
+    """A stand-in linear matrix whose product with any S is the given z."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def __matmul__(self, s):
+        return self.z
+
+
+def _special_frame():
+    """A 6 x 3 product with 0, -0.0, NaN and +-inf in either part."""
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    specials = (0.0, -0.0, np.nan, np.inf, -np.inf)
+    for i, v in enumerate(specials):
+        z.real[i, 0] = v
+        z.imag[i, 1] = v
+        z[i, 2] = complex(v, specials[-1 - i])
+    return z
+
+
+class TestInPlaceRounding:
+    """linear_quantized_precode rounds its product through the float view;
+    that must give the round trip through stack_real and unstack_real."""
+
+    @pytest.mark.parametrize("make_product", (
+        lambda z: z,
+        lambda z: z[:, :1],
+        lambda z: np.asfortranarray(z),
+        lambda z: np.repeat(z, 2, axis=1)[:, ::2],
+        lambda z: z.real,
+    ), ids=("contiguous", "one_slot", "fortran_order", "strided", "real"))
+    def test_equals_the_stacked_round_trip(self, make_product):
+        z = make_product(_special_frame())
+        cfg = SystemConfig(6, 2, z.shape[1], noise_var=0.1, transmit_power=2.0)
+        h = gen_rayleigh_channel(2, 6, seed=3)
+        s = np.ones((2, z.shape[1]), dtype=complex)
+        snapshot = z.copy()
+        res = linear_quantized_precode(s, h, cfg, lambda h: _Product(z))
+        expected = unstack_real(one_bit_quantize(stack_real(z), cfg.quant_level))
+        assert res.x.dtype == expected.dtype and res.x.shape == expected.shape
+        assert res.x.tobytes() == expected.tobytes()
+        assert np.array_equal(z, snapshot, equal_nan=True)  # the product is left alone
+
+    def test_special_values_round_as_documented(self):
+        level = 0.5
+        z = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -1e-300])
+        assert np.array_equal(one_bit_quantize(z, level),
+                              [level, level, -level, level, -level, -level])
+
+
 class TestLinearQuantizedPrecode:
     def test_single_antenna_single_ue(self):
         cfg = SystemConfig(1, 1, 1, noise_var=0.1, transmit_power=1.0)

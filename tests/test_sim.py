@@ -10,19 +10,23 @@ import numpy as np
 import pytest
 
 from onebit_mimo import (
+    ESTIMATOR_IDS,
     PRECODER_IDS,
     PRECODERS,
+    PrecodeResult,
     SweepConfig,
     SystemConfig,
     TrialConfig,
+    apply_channel,
     brute_force_qp,
     gen_rayleigh_channel,
+    qp_objective,
     records_to_csv,
     run_trial,
     sweep,
     trial_seed_for,
 )
-from onebit_mimo import sim
+from onebit_mimo import linear, sim
 from onebit_mimo.sim import CSV_HEADER, draw_trial_data
 
 from oracles import enumerate_qp
@@ -187,6 +191,8 @@ class TestRunTrial:
             assert res_bf.objective <= res_sq.objective + 1e-12
 
     def test_library_gets_the_channel_array(self, monkeypatch):
+        # the precoder and its factor see the drawn array itself; the trial
+        # forms H X from it once, outside the precoder
         channels = []
 
         def recording(position, fn):
@@ -196,11 +202,66 @@ class TestRunTrial:
             return call
 
         monkeypatch.setitem(sim.PRECODERS, "zfq", recording(1, sim.PRECODERS["zfq"]))
-        monkeypatch.setattr(sim, "apply_channel", recording(0, sim.apply_channel))
-        monkeypatch.setattr(sim, "qp_objective", recording(1, sim.qp_objective))
-        run_trial(TrialConfig(system=_tiny_system(), precoder="zfq"), trial_seed_for(2, 0, 0))
-        assert len(channels) == 3
-        assert all(type(h) is np.ndarray and not h.flags.writeable for h in channels)
+        monkeypatch.setattr(linear, "optimal_beta_for",
+                            recording(2, linear.optimal_beta_for))
+        seed = trial_seed_for(2, 0, 0)
+        run_trial(TrialConfig(system=_tiny_system(), precoder="zfq"), seed)
+        drawn = draw_trial_data(_tiny_system(), "qpsk", 2, seed)[0].h
+        assert len(channels) == 2
+        assert all(h is drawn for h in channels)
+        assert type(drawn) is np.ndarray and not drawn.flags.writeable
+
+    @pytest.mark.parametrize("system, constellation, precoders", (
+        (SystemConfig.from_snr_db(4, 2, 2, snr_db=3.0), "16qam", PRECODER_IDS),
+        (SystemConfig.from_snr_db(128, 16, 10, snr_db=4.0), "64qam", ("zfq", "mrtq")),
+    ), ids=("B4", "linear_pilot_point"))
+    @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
+    def test_numbers_equal_the_public_functions(self, monkeypatch, system,
+                                                constellation, precoders, estimator):
+        # run_trial forms H X once; its objective and the samples the
+        # estimator gets must equal qp_objective's and apply_channel's exactly
+        seen = {}
+
+        def recording(key, fn, position):
+            def call(*args):
+                result = fn(*args)
+                seen[key] = result if position is None else args[position]
+                return result
+            return call
+
+        pilots, estimate = sim.ESTIMATORS[estimator]
+        monkeypatch.setitem(sim.ESTIMATORS, estimator,
+                            (pilots, recording("y", estimate, 1)))
+        for precoder in precoders:
+            monkeypatch.setitem(sim.PRECODERS, precoder,
+                                recording("pre", PRECODERS[precoder], None))
+            cfg = TrialConfig(system=system, constellation=constellation,
+                              precoder=precoder, estimator=estimator)
+            for trial in range(3):
+                seed = trial_seed_for(31, 0, trial)
+                res = run_trial(cfg, seed)
+                h, frame, noise = draw_trial_data(system, constellation,
+                                                  system.num_slots - pilots, seed)
+                s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s],
+                                      axis=1)
+                pre = seen["pre"]
+                expected = qp_objective(s_tx, h.h, pre.x, pre.beta, system.noise_var)
+                assert res.objective.hex() == expected.hex()
+                y = apply_channel(h.h, pre.x, noise)
+                assert seen["y"].tobytes() == y.tobytes()
+
+    def test_frame_of_the_wrong_length_fails_the_trial(self, monkeypatch):
+        # H X + N would broadcast a B x 1 frame over K = 3 slots silently
+        system = SystemConfig.from_snr_db(4, 2, 3, snr_db=3.0)
+        short = PrecodeResult(x=np.full((4, 1), system.quant_level * (1 + 1j)), beta=1.0)
+        monkeypatch.setitem(sim.PRECODERS, "zfq", lambda s, h, cfg: short)
+        with pytest.raises(ValueError, match=r"shape \(4, 1\), not \(B, K\) = \(4, 3\)"):
+            run_trial(TrialConfig(system=system, precoder="zfq"), trial_seed_for(1, 0, 0))
+        records = sweep(SweepConfig(num_bs_antennas=4, num_ues=2, num_slots=3,
+                                    snr_db=(3.0,), constellation="qpsk",
+                                    precoders=("zfq", "mrtq"), estimator="blind",
+                                    trials=2, seed=1))
+        assert [(r.failures, r.bits_total > 0) for r in records] == [(2, False), (0, True)]
 
     def test_pilot_mode_consumes_first_slot(self):
         system = _tiny_system(num_slots=5)
