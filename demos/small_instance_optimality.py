@@ -23,6 +23,7 @@ from onebit_mimo import (
     get_constellation,
     linear_quantized_precode,
     mrt_matrix,
+    optimal_beta_for,
     qp_objective,
     real_embed,
     solve_sdp,
@@ -46,7 +47,8 @@ for seed in range(8):
     frame = SymbolFrame.random(qpsk, cfg.num_ues, cfg.num_slots, seed=100 + seed)
 
     def objective_of(result):
-        return qp_objective(frame.s, h, result.x, result.beta, cfg.noise_var)
+        beta = optimal_beta_for(frame.s, h @ result.x, cfg.noise_var)
+        return qp_objective(frame.s, h, result.x, beta, cfg.noise_var)
 
     _, _, best = brute_force_qp(frame.s, h, cfg)
     sol = solve_sdp(
@@ -57,7 +59,7 @@ for seed in range(8):
     row = [
         sol.objective,
         best,
-        objective_of(extract_rank_one(sol, frame.s, h, cfg)),
+        objective_of(extract_rank_one(sol, cfg)),
         objective_of(squid_precode(frame.s, h, cfg)),
         objective_of(linear_quantized_precode(frame.s, h, cfg, zf_matrix)),
         objective_of(linear_quantized_precode(frame.s, h, cfg, mrt_matrix)),

@@ -4,7 +4,7 @@ Each UE rescales its received samples by an estimate of the common
 precoding factor before minimum-distance detection. Three methods, each run
 once over all U UEs:
 
-- genie: the exact factor the precoder chose (reference curves)
+- genie: the exact factor the trial takes for the frame (reference curves)
 - pilot_mle: one pilot slot carrying sqrt(Es) = 1 at every UE (every
   constellation here has Es = 1); the estimate is the real part of 1/y_u[1]
 - blind: matches the sample variance of the received signal to
@@ -82,6 +82,6 @@ def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstima
 
 
 def genie_estimate(beta: float, num_ues: int) -> FactorEstimate:
-    """The precoder's exact factor ``beta``, granted by a genie to all ``num_ues`` UEs."""
+    """The frame's exact factor ``beta``, granted by a genie to all ``num_ues`` UEs."""
     clamped = np.full(num_ues, beta < EPS_BETA)
     return _checked(np.full(num_ues, max(beta, EPS_BETA)), clamped)

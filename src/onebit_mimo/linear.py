@@ -21,6 +21,7 @@ from .model import (
     PrecodeResult,
     SystemConfig,
     one_bit_quantize,
+    # not called here; perfbench's span tracer rebinds it here by name
     optimal_beta_for,
 )
 
@@ -39,16 +40,11 @@ def mrt_matrix(h) -> np.ndarray:
 
 def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
                              matrix) -> PrecodeResult:
-    """Linear precoding with P = matrix(H), then 1-bit quantization.
-
-    Works slot by slot. The precoding factor is the MSE-optimal receiver-side
-    scaling for the quantized frame, which makes this baseline comparable to
-    the nonlinear precoders under the common objective.
-    """
+    """Linear precoding with P = matrix(H), then 1-bit quantization, slot by
+    slot; like every precoder's, the frame is judged at its MSE-optimal factor."""
     # the float view needs a contiguous complex array; a matmul result
     # already is one, so this copies nothing on the precoders' path
     z = np.ascontiguousarray(matrix(h) @ s, dtype=complex)
     x = one_bit_quantize(z.view(float), cfg.quant_level).view(complex)
-    beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    return PrecodeResult(x=x, beta=beta)
+    return PrecodeResult(x=x)
 

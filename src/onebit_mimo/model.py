@@ -203,14 +203,14 @@ class SymbolFrame:
 
 @dataclass(frozen=True)
 class PrecodeResult:
-    """1-bit transmit frame X in {+-l +-jl}^(B x K) and its precoding factor.
+    """1-bit transmit frame X in {+-l +-jl}^(B x K), with no precoding factor:
+    :func:`optimal_beta_for` gives the factor of any frame from H X.
 
     ``converged`` is False when an iterative precoder's solver stopped on its
     iteration budget; the frame itself is always valid.
     """
 
     x: np.ndarray
-    beta: float
     converged: bool = True
 
 
@@ -287,15 +287,12 @@ def frame_mse(s: np.ndarray, hx: np.ndarray, beta: float, noise_var: float) -> f
     return float(np.sum(np.abs(residual) ** 2) + beta ** 2 * u * k * noise_var)
 
 
-def optimal_beta_for(x: np.ndarray, s: np.ndarray, h, noise_var: float) -> float:
-    """Closed-form minimizer of the frame MSE over the factor, clamped at 0.
+def optimal_beta_for(s: np.ndarray, hx: np.ndarray, noise_var: float) -> float:
+    """Closed-form minimizer of :func:`frame_mse` over the factor, clamped at 0,
+    from the noiseless receive HX (U x K) of a frame.
 
     beta* = max(0, Re tr((HX)^H S) / (||HX||_F^2 + U K N0)).
     """
-    s = np.asarray(s, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    hx = h @ x
     u, k = s.shape
     num = float(np.vdot(hx, s).real)
     den = float(np.sum(np.abs(hx) ** 2)) + u * k * noise_var

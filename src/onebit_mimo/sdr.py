@@ -14,8 +14,9 @@ a 1-bit frame is then extracted by rounding the leading eigenvector
 :func:`solve_sdp`'s keyword arguments.
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
-configuration. The joint K-slot SDP (dimension 2BK+1) is :func:`assemble_T`
-on the whole (2U x K) frame -> :func:`solve_sdp` -> :func:`extract_rank_one`.
+configuration, and returns their rounded slots as one frame. The joint
+K-slot SDP (dimension 2BK+1) is :func:`assemble_T` on the whole (2U x K)
+frame -> :func:`solve_sdp` -> :func:`extract_rank_one`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .model import (
     SystemConfig,
     _check_count,
     one_bit_quantize,
+    # not called here; perfbench's span tracer rebinds it here by name
     optimal_beta_for,
     real_embed,
     stack_real,
@@ -166,14 +168,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6,
                         converged=converged, history=np.asarray(history))
 
 
-def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
+def extract_rank_one(sol: SolverResult, cfg: SystemConfig) -> PrecodeResult:
     """Round the SDP solution to a 1-bit frame via its leading eigenvector.
 
     The global sign is flipped so the homogenization entry is nonnegative
-    (it stands for the constant 1), the first 2BK entries are de-vectorized,
-    quantized (:func:`one_bit_quantize`) and de-embedded to a frame in
-    {+-l +-jl}, and the precoding factor is the conditional optimum for the
-    rounded frame. A (near-)degenerate leading eigenvalue is resolved
+    (it stands for the constant 1), and the first 2BK entries are
+    de-vectorized, quantized (:func:`one_bit_quantize`) and de-embedded to a
+    frame in {+-l +-jl}. A (near-)degenerate leading eigenvalue is resolved
     deterministically by the eigensolver's ordering. The result is
     ``converged`` as ``sol`` is.
     """
@@ -185,16 +186,14 @@ def extract_rank_one(sol: SolverResult, s: np.ndarray, h, cfg: SystemConfig) -> 
     rows = 2 * cfg.num_bs_antennas
     b_r = unvec(leading[:-1], rows, (leading.size - 1) // rows)
     x = unstack_real(one_bit_quantize(b_r, cfg.quant_level))
-    beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    return PrecodeResult(x=x, beta=beta, converged=sol.converged)
+    return PrecodeResult(x=x, converged=sol.converged)
 
 
 def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """End-to-end SDR precoding.
 
     Solves K independent single-slot SDPs (dimension 2B+1 each) and
-    concatenates the rounded slots; the returned factor is the conditional
-    optimum for the full rounded frame. The result is ``converged`` only if
+    concatenates the rounded slots. The result is ``converged`` only if
     every slot's ADMM converged.
     """
     s = np.asarray(s, dtype=complex)
@@ -203,7 +202,6 @@ def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     for k in range(s.shape[1]):
         sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power))
-        slots.append(extract_rank_one(sol, s[:, k:k + 1], h, cfg))
+        slots.append(extract_rank_one(sol, cfg))
     x = np.concatenate([slot.x for slot in slots], axis=1)
-    beta = optimal_beta_for(x, s, h, cfg.noise_var)
-    return PrecodeResult(x=x, beta=beta, converged=all(slot.converged for slot in slots))
+    return PrecodeResult(x=x, converged=all(slot.converged for slot in slots))

@@ -3,9 +3,11 @@
 One trial runs the full downlink pipeline: draw a Rayleigh channel, draw
 payload bits, modulate, precode with the selected precoder, form H X once
 and add noise to it, rescale each UE's samples by its estimated precoding
-factor, detect, and count bit errors over the payload slots. The frame MSE
-comes from the same H X, and equals :func:`~onebit_mimo.model.qp_objective`
-bit for bit, as the samples equal :func:`~onebit_mimo.model.apply_channel`'s.
+factor, detect, and count bit errors over the payload slots. A precoder
+returns only its frame; the factor (the frame's MSE-optimal one) and the
+frame MSE come from the same H X, and the MSE equals
+:func:`~onebit_mimo.model.qp_objective` bit for bit, as the samples equal
+:func:`~onebit_mimo.model.apply_channel`'s.
 
 Seeding scheme (counter mode): the per-trial seed is
 ``SeedSequence((master_seed, point_index, trial_index))`` where
@@ -71,16 +73,16 @@ PRECODERS = {
     "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.mrt_matrix),
     "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system),
     "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system),
-    "bruteforce": lambda s, h, cfg: PrecodeResult(*brute_force_qp(s, h, cfg.system)[:2]),
+    "bruteforce": lambda s, h, cfg: PrecodeResult(brute_force_qp(s, h, cfg.system)[0]),
 }
 PRECODER_IDS = tuple(PRECODERS)
-#: estimator id -> (pilot slots, (precoder result, y, trial config) ->
+#: estimator id -> (pilot slots, (precoding factor, y, trial config) ->
 #: FactorEstimate); the pilot slots lead the frame with 1 at every UE, and
 #: each entry looks its estimator up by name when called
 ESTIMATORS = {
-    "genie": (0, lambda pre, y, cfg: genie_estimate(pre.beta, cfg.system.num_ues)),
-    "pilot": (1, lambda pre, y, cfg: pilot_mle(y[:, 0])),
-    "blind": (0, lambda pre, y, cfg: blind_estimate(y, cfg.system.noise_var)),
+    "genie": (0, lambda beta, y, cfg: genie_estimate(beta, cfg.system.num_ues)),
+    "pilot": (1, lambda beta, y, cfg: pilot_mle(y[:, 0])),
+    "blind": (0, lambda beta, y, cfg: blind_estimate(y, cfg.system.noise_var)),
 }
 ESTIMATOR_IDS = tuple(ESTIMATORS)
 
@@ -291,9 +293,10 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
         raise ValueError(f"precoder {cfg.precoder!r} returned a frame of shape "
                          f"{np.shape(pre.x)}, not (B, K) = "
                          f"{(system.num_bs_antennas, system.num_slots)}")
-    hx = h @ pre.x  # the noiseless receive, for y and the frame MSE alike
+    hx = h @ pre.x  # the noiseless receive, for the factor, y and the frame MSE
+    beta = optimal_beta_for(s_tx, hx, system.noise_var)
     y = hx + noise
-    est = estimate(pre, y, cfg)
+    est = estimate(beta, y, cfg)
     s_hat = est.betas[:, None] * y[:, pilots:]
     # take and the sum method skip the dispatch of fancy indexing and np.sum
     bits_hat = const.labels.take(detect(s_hat, const), axis=0).reshape(system.num_ues, -1)
@@ -304,7 +307,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
         bits_total=int(frame.bits.size),
         clamp_flags=est.clamped,
         nonconverged=int(not pre.converged),
-        objective=frame_mse(s_tx, hx, pre.beta, system.noise_var),
+        objective=frame_mse(s_tx, hx, beta, system.noise_var),
     )
 
 
@@ -364,7 +367,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
     x = unstack_real(one_bit_quantize(unvec(signs, 2 * num_antennas, num_slots), level))
     # recompute through the shared routines so comparisons with heuristic
     # precoders follow identical floating-point paths
-    beta_star = optimal_beta_for(x, s, h, cfg.noise_var)
+    beta_star = optimal_beta_for(s, h @ x, cfg.noise_var)
     return x, beta_star, qp_objective(s, h, x, beta_star, cfg.noise_var)
 
 

@@ -26,6 +26,7 @@ from onebit_mimo import (
     gen_rayleigh_channel,
     get_constellation,
     linear_quantized_precode,
+    optimal_beta_for,
     prox_sq_inf,
     qp_objective,
     real_embed,
@@ -84,7 +85,8 @@ def test_c1_oracle_optimality(small_instances):
             squid_precode(frame.s, h, cfg),
             sdr_precode(frame.s, h, cfg),
         ):
-            obj = qp_objective(frame.s, h, result.x, result.beta, cfg.noise_var)
+            beta = optimal_beta_for(frame.s, h @ result.x, cfg.noise_var)
+            obj = qp_objective(frame.s, h, result.x, beta, cfg.noise_var)
             if best > obj:
                 violations += 1
     elapsed = time.perf_counter() - t0
@@ -104,8 +106,9 @@ def test_c2_sdr_bound_and_tightness(small_instances):
         sol = solve_sdp(problem, tol=1e-9, max_iters=100_000)
         if sol.objective <= best + 1e-6:
             bound_ok += 1
-        rounded = extract_rank_one(sol, frame.s, h, cfg)
-        obj = qp_objective(frame.s, h, rounded.x, rounded.beta, cfg.noise_var)
+        rounded = extract_rank_one(sol, cfg)
+        beta = optimal_beta_for(frame.s, h @ rounded.x, cfg.noise_var)
+        obj = qp_objective(frame.s, h, rounded.x, beta, cfg.noise_var)
         if obj <= 1.05 * best:
             tight += 1
     ok = bound_ok == 100 and tight >= 90

@@ -12,6 +12,7 @@ from onebit_mimo import (
     linear_quantized_precode,
     mrt_matrix,
     one_bit_quantize,
+    optimal_beta_for,
     qp_objective,
     stack_real,
     unstack_real,
@@ -182,6 +183,7 @@ class TestLinearQuantizedPrecode:
             frame = SymbolFrame.random(get_constellation("qpsk"), 2, 2,
                                        seed=200 + seed)
             res = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
-            zfq_obj = qp_objective(frame.s, h, res.x, res.beta, cfg.noise_var)
+            beta = optimal_beta_for(frame.s, h @ res.x, cfg.noise_var)
+            zfq_obj = qp_objective(frame.s, h, res.x, beta, cfg.noise_var)
             _, _, best = brute_force_qp(frame.s, h, cfg)
             assert best <= zfq_obj

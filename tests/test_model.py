@@ -257,14 +257,14 @@ class TestOptimalBeta:
         h = np.eye(2, dtype=complex)
         x = np.array([[1.0], [0.0]], dtype=complex)
         s = np.array([[0.0], [1.0]], dtype=complex)  # Re tr((HX)^H S) = 0
-        assert optimal_beta_for(x, s, h, 0.3) == 0.0
+        assert optimal_beta_for(s, h @ x, 0.3) == 0.0
 
     def test_scaled_match_with_vanishing_noise(self):
         rng = np.random.default_rng(6)
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         s = 2.5 * (h @ x)
-        assert optimal_beta_for(x, s, h, 1e-15) == pytest.approx(2.5, rel=1e-10)
+        assert optimal_beta_for(s, h @ x, 1e-15) == pytest.approx(2.5, rel=1e-10)
 
     def test_agrees_with_grid_search(self):
         rng = np.random.default_rng(7)
@@ -273,7 +273,7 @@ class TestOptimalBeta:
             x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             s = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             n0 = 0.2
-            beta = optimal_beta_for(x, s, h, n0)
+            beta = optimal_beta_for(s, h @ x, n0)
             assert abs(beta - grid_search_beta(s, h, x, n0)) <= 1e-3
 
     def test_is_the_constrained_minimizer(self):
@@ -281,7 +281,7 @@ class TestOptimalBeta:
         h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         x = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-        beta = optimal_beta_for(x, s, h, 0.1)
+        beta = optimal_beta_for(s, h @ x, 0.1)
         f_star = qp_objective(s, h, x, beta, 0.1)
         for other in np.linspace(0.0, 5.0, 101):
             assert f_star <= qp_objective(s, h, x, float(other), 0.1) + 1e-12

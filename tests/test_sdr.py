@@ -15,6 +15,7 @@ from onebit_mimo import (
     extract_rank_one,
     gen_rayleigh_channel,
     get_constellation,
+    optimal_beta_for,
     project_psd,
     qp_objective,
     real_embed,
@@ -170,14 +171,12 @@ class TestSolveSdp:
         sol = solve_sdp(_lifted_problem(frame.s, h, cfg), tol=1e-12, max_iters=5)
         assert not sol.converged
         assert sol.iterations == 5
-        assert not extract_rank_one(sol, frame.s, h, cfg).converged
+        assert not extract_rank_one(sol, cfg).converged
 
 
 class TestExtractRankOne:
     def test_exact_rank_one_recovered(self):
         cfg = SystemConfig(2, 1, 2, noise_var=0.2)
-        h = gen_rayleigh_channel(1, 2, seed=50)
-        frame = SymbolFrame.random(get_constellation("qpsk"), 1, 2, seed=51)
         rng = np.random.default_rng(52)
         level = cfg.quant_level
         signs = np.where(rng.standard_normal(8) >= 0, 1.0, -1.0)
@@ -185,15 +184,13 @@ class TestExtractRankOne:
         lifted = np.concatenate([bbar, [1.0]])
         sol = SolverResult(x=np.outer(lifted, lifted), objective=0.0,
                            iterations=1, converged=True, history=np.zeros((1, 2)))
-        res = extract_rank_one(sol, frame.s, h, cfg)
+        res = extract_rank_one(sol, cfg)
         xbar = vec(stack_real(res.x))
         assert np.array_equal(np.sign(xbar), signs)
         assert np.allclose(np.abs(xbar), level, rtol=1e-14)
 
     def test_sign_flip_invariance(self):
         cfg = SystemConfig(2, 1, 1, noise_var=0.2)
-        h = gen_rayleigh_channel(1, 2, seed=53)
-        frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=54)
         rng = np.random.default_rng(55)
         v = rng.standard_normal(5)
         v[-1] = abs(v[-1])
@@ -202,8 +199,8 @@ class TestExtractRankOne:
             return SolverResult(x=np.outer(vv, vv), objective=0.0, iterations=1,
                                 converged=True, history=np.zeros((1, 2)))
 
-        plus = extract_rank_one(solution(v), frame.s, h, cfg)
-        minus = extract_rank_one(solution(-v), frame.s, h, cfg)
+        plus = extract_rank_one(solution(v), cfg)
+        minus = extract_rank_one(solution(-v), cfg)
         assert np.array_equal(plus.x, minus.x)
 
     def test_rounding_near_discrete_optimum(self):
@@ -216,8 +213,9 @@ class TestExtractRankOne:
                                        seed=700 + seed)
             sol = solve_sdp(_lifted_problem(frame.s, h, cfg),
                             tol=1e-8, max_iters=20000)
-            rounded = extract_rank_one(sol, frame.s, h, cfg)
-            obj = qp_objective(frame.s, h, rounded.x, rounded.beta, cfg.noise_var)
+            rounded = extract_rank_one(sol, cfg)
+            beta = optimal_beta_for(frame.s, h @ rounded.x, cfg.noise_var)
+            obj = qp_objective(frame.s, h, rounded.x, beta, cfg.noise_var)
             _, _, best = brute_force_qp(frame.s, h, cfg)
             assert best <= obj
             if obj <= 1.05 * best:
@@ -263,9 +261,11 @@ class TestSdrPrecode:
         one = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=63)
         s = np.concatenate([one.s, one.s], axis=1)
         per_slot = sdr_precode(s, h, cfg)
-        block = extract_rank_one(solve_sdp(_lifted_problem(s, h, cfg)), s, h, cfg)
-        obj_ps = qp_objective(s, h, per_slot.x, per_slot.beta, cfg.noise_var)
-        obj_bk = qp_objective(s, h, block.x, block.beta, cfg.noise_var)
+        block = extract_rank_one(solve_sdp(_lifted_problem(s, h, cfg)), cfg)
+        obj_ps, obj_bk = (
+            qp_objective(s, h, res.x, optimal_beta_for(s, h @ res.x, cfg.noise_var),
+                         cfg.noise_var)
+            for res in (per_slot, block))
         assert obj_bk == pytest.approx(obj_ps, rel=1e-3)
 
     def test_output_power_per_slot(self):
@@ -294,9 +294,11 @@ class TestSdrPrecode:
         res = sdr_precode(frame.s, h, cfg)
         level = cfg.quant_level
         assert np.all(np.isin(res.x.real, [level, -level]))
-        assert res.beta > 0
-        obj_sdr = qp_objective(frame.s, h, res.x, res.beta, cfg.noise_var)
+        beta_sdr = optimal_beta_for(frame.s, h @ res.x, cfg.noise_var)
+        assert beta_sdr > 0
+        obj_sdr = qp_objective(frame.s, h, res.x, beta_sdr, cfg.noise_var)
         zf = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
-        obj_zf = qp_objective(frame.s, h, zf.x, zf.beta, cfg.noise_var)
+        beta_zf = optimal_beta_for(frame.s, h @ zf.x, cfg.noise_var)
+        obj_zf = qp_objective(frame.s, h, zf.x, beta_zf, cfg.noise_var)
         assert obj_sdr < obj_zf
         assert not res.converged

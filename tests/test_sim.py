@@ -20,13 +20,14 @@ from onebit_mimo import (
     apply_channel,
     brute_force_qp,
     gen_rayleigh_channel,
+    optimal_beta_for,
     qp_objective,
     records_to_csv,
     run_trial,
     sweep,
     trial_seed_for,
 )
-from onebit_mimo import linear, sim
+from onebit_mimo import sim
 from onebit_mimo.sim import CSV_HEADER, draw_trial_data
 
 from oracles import enumerate_qp
@@ -191,24 +192,22 @@ class TestRunTrial:
             assert res_bf.objective <= res_sq.objective + 1e-12
 
     def test_library_gets_the_channel_array(self, monkeypatch):
-        # the precoder and its factor see the drawn array itself; the trial
-        # forms H X from it once, outside the precoder
+        # the precoder sees the drawn array itself; the trial forms H X from
+        # it once, outside the precoder
         channels = []
 
-        def recording(position, fn):
-            def call(*args):
-                channels.append(args[position])
-                return fn(*args)
+        def recording(fn):
+            def call(s, h, cfg):
+                channels.append(h)
+                return fn(s, h, cfg)
             return call
 
-        monkeypatch.setitem(sim.PRECODERS, "zfq", recording(1, sim.PRECODERS["zfq"]))
-        monkeypatch.setattr(linear, "optimal_beta_for",
-                            recording(2, linear.optimal_beta_for))
+        monkeypatch.setitem(sim.PRECODERS, "zfq", recording(sim.PRECODERS["zfq"]))
         seed = trial_seed_for(2, 0, 0)
         run_trial(TrialConfig(system=_tiny_system(), precoder="zfq"), seed)
         drawn = draw_trial_data(_tiny_system(), "qpsk", 2, seed)[0].h
-        assert len(channels) == 2
-        assert all(h is drawn for h in channels)
+        assert len(channels) == 1
+        assert channels[0] is drawn
         assert type(drawn) is np.ndarray and not drawn.flags.writeable
 
     @pytest.mark.parametrize("system, constellation, precoders", (
@@ -218,23 +217,23 @@ class TestRunTrial:
     @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
     def test_numbers_equal_the_public_functions(self, monkeypatch, system,
                                                 constellation, precoders, estimator):
-        # run_trial forms H X once; its objective and the samples the
-        # estimator gets must equal qp_objective's and apply_channel's exactly
+        # run_trial forms H X once; the factor the estimator gets, the
+        # objective and the samples must equal optimal_beta_for's,
+        # qp_objective's and apply_channel's exactly
         seen = {}
 
-        def recording(key, fn, position):
+        def recording(key, fn):
             def call(*args):
-                result = fn(*args)
-                seen[key] = result if position is None else args[position]
-                return result
+                seen[key] = args, fn(*args)
+                return seen[key][1]
             return call
 
         pilots, estimate = sim.ESTIMATORS[estimator]
         monkeypatch.setitem(sim.ESTIMATORS, estimator,
-                            (pilots, recording("y", estimate, 1)))
+                            (pilots, recording("estimate", estimate)))
         for precoder in precoders:
             monkeypatch.setitem(sim.PRECODERS, precoder,
-                                recording("pre", PRECODERS[precoder], None))
+                                recording("precode", PRECODERS[precoder]))
             cfg = TrialConfig(system=system, constellation=constellation,
                               precoder=precoder, estimator=estimator)
             for trial in range(3):
@@ -244,16 +243,19 @@ class TestRunTrial:
                                                   system.num_slots - pilots, seed)
                 s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s],
                                       axis=1)
-                pre = seen["pre"]
-                expected = qp_objective(s_tx, h.h, pre.x, pre.beta, system.noise_var)
+                pre = seen["precode"][1]
+                (beta, y_seen, _), _ = seen["estimate"]
+                expected_beta = optimal_beta_for(s_tx, h.h @ pre.x, system.noise_var)
+                assert beta.hex() == expected_beta.hex()
+                expected = qp_objective(s_tx, h.h, pre.x, beta, system.noise_var)
                 assert res.objective.hex() == expected.hex()
                 y = apply_channel(h.h, pre.x, noise)
-                assert seen["y"].tobytes() == y.tobytes()
+                assert y_seen.tobytes() == y.tobytes()
 
     def test_frame_of_the_wrong_length_fails_the_trial(self, monkeypatch):
         # H X + N would broadcast a B x 1 frame over K = 3 slots silently
         system = SystemConfig.from_snr_db(4, 2, 3, snr_db=3.0)
-        short = PrecodeResult(x=np.full((4, 1), system.quant_level * (1 + 1j)), beta=1.0)
+        short = PrecodeResult(x=np.full((4, 1), system.quant_level * (1 + 1j)))
         monkeypatch.setitem(sim.PRECODERS, "zfq", lambda s, h, cfg: short)
         with pytest.raises(ValueError, match=r"shape \(4, 1\), not \(B, K\) = \(4, 3\)"):
             run_trial(TrialConfig(system=system, precoder="zfq"), trial_seed_for(1, 0, 0))

@@ -14,6 +14,7 @@ from onebit_mimo import (
     gen_rayleigh_channel,
     get_constellation,
     linear_quantized_precode,
+    optimal_beta_for,
     prox_sq_inf,
     qp_objective,
     real_embed,
@@ -429,7 +430,7 @@ class TestSquidPrecode:
         res = squid_precode(frame.s, h, cfg)
         assert np.allclose(np.sum(np.abs(res.x) ** 2, axis=0),
                            cfg.transmit_power, rtol=1e-14)
-        assert res.beta > 0
+        assert optimal_beta_for(frame.s, h @ res.x, cfg.noise_var) > 0
 
     def test_beats_quantized_zf_at_scale(self):
         cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=4.0)
@@ -439,8 +440,11 @@ class TestSquidPrecode:
                                        seed=500 + seed)
             sq = squid_precode(frame.s, h, cfg)
             zf = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
-            obj_sq = qp_objective(frame.s, h, sq.x, sq.beta, cfg.noise_var)
-            obj_zf = qp_objective(frame.s, h, zf.x, zf.beta, cfg.noise_var)
+            obj_sq, obj_zf = (
+                qp_objective(frame.s, h, res.x,
+                             optimal_beta_for(frame.s, h @ res.x, cfg.noise_var),
+                             cfg.noise_var)
+                for res in (sq, zf))
             assert obj_sq < obj_zf
 
     def test_nonconvergence_flagged(self, monkeypatch):
