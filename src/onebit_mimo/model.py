@@ -234,25 +234,37 @@ def gen_rayleigh_channel(num_ues: int, num_bs_antennas: int, seed) -> np.ndarray
     """I.i.d. Rayleigh fading channel H (U x B), CN(0, 1) per complex entry.
 
     Deterministic given the seed; each complex entry is built from two
-    independent real Gaussians of variance 1/2.
+    independent real Gaussians of variance 1/2, equal bit for bit to
+    ``(a + 1j * b) / sqrt(2)`` with a and b the generator's first and
+    second ``standard_normal`` draws.
     """
     if num_ues < 1 or num_bs_antennas < 1:
         raise ValueError("dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    shape = (num_ues, num_bs_antennas)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    h = _complex_normal(np.random.default_rng(seed), (num_ues, num_bs_antennas))
+    h /= math.sqrt(2.0)
+    return h
 
 
 def gen_awgn(num_ues: int, num_slots: int, noise_var: float, seed) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian noise, variance N0 per entry."""
+    """I.i.d. circularly-symmetric complex Gaussian noise, variance N0 per entry;
+    equal bit for bit to ``sqrt(N0 / 2) * (a + 1j * b)``, with a and b drawn
+    as in :func:`gen_rayleigh_channel`."""
     if not (noise_var > 0):
         raise ValueError("noise_var must be > 0")
     if not noise_var < math.inf:
         raise ValueError(f"noise_var must be finite, got {noise_var}")
-    rng = np.random.default_rng(seed)
-    shape = (num_ues, num_slots)
-    scale = math.sqrt(noise_var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    n = _complex_normal(np.random.default_rng(seed), (num_ues, num_slots))
+    n *= math.sqrt(noise_var / 2.0)
+    return n
+
+
+def _complex_normal(rng, shape) -> np.ndarray:
+    """a + 1j b from two standard normal draws, a first, filled in place
+    rather than through two temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 # ---------------------------------------------------------------------------

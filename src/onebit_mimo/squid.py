@@ -223,35 +223,39 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     strictly improving flip until no slot has one left, re-optimizing the
     factor between rounds. Flips only ever lower the objective, so all
     dominance properties against the exhaustive optimum are preserved.
+    The frame, its residual and S are held slot-major (K x 2B and K x 2U),
+    so each slot's candidates are one contiguous row.
     """
     num_ues = h_r.shape[0] // 2
     num_slots = s_r.shape[1]
     slots = np.arange(num_slots)
+    h_cols = h_r.T  # row i is column i of H_R
     col_energy = np.sum(h_r * h_r, axis=0)
-    x_r = x_r.copy()
+    x_t = x_r.T.copy()
+    s_t = s_r.T
 
     for _ in range(REFINEMENT_ROUNDS):
-        fitted = h_r @ x_r
+        fitted = x_t @ h_cols
         den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
-        beta = max(0.0, float(np.sum(fitted * s_r)) / den)
+        beta = max(0.0, float(np.sum(fitted * s_t)) / den)
         if beta == 0.0:
             break
-        resid = s_r - beta * fitted
-        flip_cost = (4.0 * beta ** 2 * level ** 2 * col_energy)[:, None]
+        resid = s_t - beta * fitted
+        flip_cost = 4.0 * beta ** 2 * level ** 2 * col_energy
         flipped = False
         while True:
-            gain = 4.0 * beta * x_r * (h_r.T @ resid) + flip_cost
-            rows = np.argmin(gain, axis=0)
-            cols = np.nonzero(gain[rows, slots] < -1e-12)[0]
-            if cols.size == 0:
+            gain = 4.0 * beta * x_t * (resid @ h_r) + flip_cost
+            picks = np.argmin(gain, axis=1)
+            slot_ids = np.nonzero(gain[slots, picks] < -1e-12)[0]
+            if slot_ids.size == 0:
                 break
-            rows = rows[cols]
-            resid[:, cols] += 2.0 * beta * x_r[rows, cols] * h_r[:, rows]
-            x_r[rows, cols] = -x_r[rows, cols]
+            picks = picks[slot_ids]
+            resid[slot_ids] += (2.0 * beta * x_t[slot_ids, picks])[:, None] * h_cols[picks]
+            x_t[slot_ids, picks] = -x_t[slot_ids, picks]
             flipped = True
         if not flipped:
             break
-    return x_r
+    return x_t.T
 
 
 def squid_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:

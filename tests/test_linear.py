@@ -20,46 +20,57 @@ from onebit_mimo import (
 )
 
 
+def _gaussian(seed, rows, cols):
+    """A complex rows x cols channel or frame with standard normal parts."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 class TestZfMatrix:
+    """zf_matrix(h, s) is the zero-forcing precoder applied to the frame S."""
+
     def test_identity_channel(self):
-        p = zf_matrix(np.eye(3, dtype=complex))
-        assert np.allclose(p, np.eye(3), atol=1e-12)
+        s = _gaussian(10, 3, 2)
+        assert np.allclose(zf_matrix(np.eye(3, dtype=complex), s), s, atol=1e-12)
 
     def test_scaled_identity(self):
-        p = zf_matrix(2.0 * np.eye(2, dtype=complex))
-        assert np.allclose(p, 0.5 * np.eye(2), atol=1e-12)
+        s = _gaussian(11, 2, 4)
+        assert np.allclose(zf_matrix(2.0 * np.eye(2, dtype=complex), s), 0.5 * s,
+                           atol=1e-12)
 
     def test_zero_forcing_residual(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        p = zf_matrix(h)
-        assert p.shape == (8, 4)
-        assert np.linalg.norm(h @ p - np.eye(4)) < 1e-9
+        h = _gaussian(0, 4, 8)
+        s = _gaussian(12, 4, 5)
+        z = zf_matrix(h, s)
+        assert z.shape == (8, 5)
+        assert np.linalg.norm(h @ z - s) < 1e-9
 
     def test_rank_deficient_raises(self):
         h = np.ones((2, 4), dtype=complex)  # duplicated rows
         with pytest.raises(np.linalg.LinAlgError):
-            zf_matrix(h)
+            zf_matrix(h, np.ones((2, 3), dtype=complex))
 
 
 class TestMrtMatrix:
+    """mrt_matrix(h, s) is H^H S, computed as exactly that product."""
+
     def test_identity_channel(self):
-        p = mrt_matrix(np.eye(2, dtype=complex))
-        assert np.array_equal(p, np.eye(2))
+        s = _gaussian(13, 2, 3)
+        assert np.array_equal(mrt_matrix(np.eye(2, dtype=complex), s), s)
 
     def test_row_scaling_conjugates(self):
-        rng = np.random.default_rng(1)
-        h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        h = _gaussian(1, 2, 3)
         scale = 2.0 - 1.5j
         h2 = h.copy()
         h2[1] *= scale
-        assert np.allclose(mrt_matrix(h2)[:, 1],
-                           np.conj(scale) * mrt_matrix(h)[:, 1], atol=1e-12)
+        s = np.array([[0.0], [1.0 + 0j]])  # UE 1 alone
+        assert np.allclose(mrt_matrix(h2, s), np.conj(scale) * mrt_matrix(h, s),
+                           atol=1e-12)
 
     def test_equals_conjugate_transpose(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.array_equal(mrt_matrix(h), h.conj().T)
+        h = _gaussian(2, 3, 5)
+        s = _gaussian(14, 3, 4)
+        assert mrt_matrix(h, s).tobytes() == (h.conj().T @ s).tobytes()
 
 
 def quantize(z, transmit_power):
@@ -98,16 +109,6 @@ class TestOneBitQuantize:
             one_bit_quantize(np.array([1 - 1j, -2 + 3j]), 0.5)
 
 
-class _Product:
-    """A stand-in linear matrix whose product with any S is the given z."""
-
-    def __init__(self, z):
-        self.z = z
-
-    def __matmul__(self, s):
-        return self.z
-
-
 def _special_frame():
     """A 6 x 3 product with 0, -0.0, NaN and +-inf in either part."""
     rng = np.random.default_rng(9)
@@ -137,7 +138,7 @@ class TestInPlaceRounding:
         h = gen_rayleigh_channel(2, 6, seed=3)
         s = np.ones((2, z.shape[1]), dtype=complex)
         snapshot = z.copy()
-        res = linear_quantized_precode(s, h, cfg, lambda h: _Product(z))
+        res = linear_quantized_precode(s, h, cfg, lambda h, s: z)
         expected = unstack_real(one_bit_quantize(stack_real(z), cfg.quant_level))
         assert res.x.dtype == expected.dtype and res.x.shape == expected.shape
         assert res.x.tobytes() == expected.tobytes()

@@ -87,6 +87,28 @@ class TestRayleighChannel:
         assert real_embed(h).shape == (4, 8)
 
 
+class TestDrawnBitForBit:
+    """The generators fill one complex array in place; every entry must equal
+    that of the plain complex expression over the same two normal draws."""
+
+    @pytest.mark.parametrize("seed", (0, 7, 123, np.random.SeedSequence(5)))
+    @pytest.mark.parametrize("shape", ((1, 1), (3, 5), (16, 128)))
+    def test_channel(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = (a + 1j * b) / math.sqrt(2.0)
+        assert gen_rayleigh_channel(*shape, seed).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", (0, 7, 123, np.random.SeedSequence(5)))
+    @pytest.mark.parametrize("noise_var", (1e-3, 0.37, 2.5))
+    def test_noise(self, seed, noise_var):
+        shape = (16, 10)
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = math.sqrt(noise_var / 2.0) * (a + 1j * b)
+        assert gen_awgn(*shape, noise_var, seed).tobytes() == expected.tobytes()
+
+
 class TestSymbolFrame:
     def test_rows_are_per_ue_modulations(self):
         const = get_constellation("64qam")
