@@ -284,7 +284,7 @@ def apply_channel(h, x, n: np.ndarray) -> np.ndarray:
 
 
 def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float) -> float:
-    """Total MSE of the frame: ||S - beta H X||_F^2 + beta^2 U K N0."""
+    """Total MSE of the frame, ||S - beta H X||_F^2 + beta^2 U K N0, by :func:`frame_mse`."""
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     x = np.asarray(x, dtype=complex)
@@ -292,20 +292,19 @@ def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float)
 
 
 def frame_mse(s: np.ndarray, hx: np.ndarray, beta: float, noise_var: float) -> float:
-    """:func:`qp_objective` from the noiseless receive HX (U x K) instead of H and X,
-    for a caller that has formed the product already."""
-    residual = s - beta * hx
-    u, k = s.shape
-    return float(np.sum(np.abs(residual) ** 2) + beta ** 2 * u * k * noise_var)
+    """:func:`qp_objective` from the noiseless receive HX (U x K), priced with no residual
+    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the form the exhaustive
+    oracle ranks by. Its error is a few ulps of ||S||^2, so only a near-exact fit
+    S ~ beta HX with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
+    den = float(np.vdot(hx, hx).real) + s.size * noise_var
+    return float(np.vdot(s, s).real) - beta * (2.0 * float(np.vdot(hx, s).real) - beta * den)
 
 
 def optimal_beta_for(s: np.ndarray, hx: np.ndarray, noise_var: float) -> float:
     """Closed-form minimizer of :func:`frame_mse` over the factor, clamped at 0,
     from the noiseless receive HX (U x K) of a frame.
 
-    beta* = max(0, Re tr((HX)^H S) / (||HX||_F^2 + U K N0)).
+    beta* = max(0, Re<HX, S> / (||HX||_F^2 + U K N0)), from ``np.vdot``.
     """
-    u, k = s.shape
-    num = float(np.vdot(hx, s).real)
-    den = float(np.sum(np.abs(hx) ** 2)) + u * k * noise_var
-    return max(0.0, num / den)
+    den = float(np.vdot(hx, hx).real) + s.size * noise_var
+    return max(0.0, float(np.vdot(hx, s).real) / den)

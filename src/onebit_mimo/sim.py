@@ -5,9 +5,9 @@ payload bits, modulate, precode with the selected precoder, form H X once
 and add noise to it, rescale each UE's samples by its estimated precoding
 factor, detect, and count bit errors over the payload slots. A precoder
 returns only its frame; the factor (the frame's MSE-optimal one) and the
-frame MSE come from the same H X, and the MSE equals
-:func:`~onebit_mimo.model.qp_objective` bit for bit, as the samples equal
-:func:`~onebit_mimo.model.apply_channel`'s.
+frame MSE come from inner products of the same H X with itself and with S,
+and the MSE equals :func:`~onebit_mimo.model.qp_objective` bit for bit, as
+the samples equal :func:`~onebit_mimo.model.apply_channel`'s.
 
 Seeding scheme (counter mode): the per-trial seed is
 ``SeedSequence((master_seed, point_index, trial_index))`` where

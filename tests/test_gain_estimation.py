@@ -28,6 +28,16 @@ class TestPilotMle:
         assert est.clamped == 1
         assert est.betas[0] == EPS_BETA
 
+    def test_exact_zero_clamped(self):
+        # 1/0 gives inf or nan in numpy; with warnings as errors this also
+        # checks that the division stays quiet before the clamp replaces it
+        est = pilot_mle(0j)
+        assert est.betas.tolist() == [EPS_BETA]
+        assert est.clamped == 1
+        est = pilot_mle([0j, 1 + 0j, complex(-0.0, 0.0)])
+        assert est.betas.tolist() == [EPS_BETA, 1.0, EPS_BETA]
+        assert est.clamped == 2
+
     def test_negative_real_part_clamped(self):
         est = pilot_mle(-1.0 + 0j)
         assert est.clamped == 1

@@ -7,8 +7,10 @@ import pytest
 
 from onebit_mimo import (
     ChannelMatrix,
+    PRECODERS,
     SymbolFrame,
     SystemConfig,
+    TrialConfig,
     apply_channel,
     assemble_T,
     gen_awgn,
@@ -24,6 +26,7 @@ from onebit_mimo import (
     unvec,
     vec,
 )
+from onebit_mimo.model import frame_mse
 
 from oracles import grid_search_beta, mse_objective_termwise, naive_matmul
 
@@ -307,6 +310,46 @@ class TestOptimalBeta:
         f_star = qp_objective(s, h, x, beta, 0.1)
         for other in np.linspace(0.0, 5.0, 101):
             assert f_star <= qp_objective(s, h, x, float(other), 0.1) + 1e-12
+
+
+class TestClosedFormAccuracy:
+    """frame_mse and optimal_beta_for take inner products instead of a
+    residual; on seeded 1-bit frames they must stay within a few ulps of
+    the entry-by-entry objective and of the abs-square factor."""
+
+    SNRS_DB = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+
+    @pytest.mark.parametrize("size, precoder", [
+        ((4, 2, 3), "zfq"), ((4, 2, 3), "mrtq"), ((4, 2, 3), "squid"),
+        ((4, 2, 3), "sdr"), ((128, 16, 10), "zfq"), ((128, 16, 10), "mrtq"),
+        ((128, 16, 10), "squid")],
+        ids=["B4-zfq", "B4-mrtq", "B4-squid", "B4-sdr",
+             "paper-zfq", "paper-mrtq", "paper-squid"])
+    def test_seeded_one_bit_frames(self, size, precoder):
+        num_bs, num_ues, num_slots = size
+        const = get_constellation("16qam")
+        for i, snr_db in enumerate(self.SNRS_DB):
+            system = SystemConfig.from_snr_db(num_bs, num_ues, num_slots, snr_db)
+            h = gen_rayleigh_channel(num_ues, num_bs, seed=100 + i)
+            s = SymbolFrame.random(const, num_ues, num_slots, seed=200 + i).s
+            cfg = TrialConfig(system=system, constellation="16qam", precoder=precoder)
+            x = PRECODERS[precoder](s, h, cfg).x
+            n0 = system.noise_var
+            hx = h @ x
+            beta_star = optimal_beta_for(s, hx, n0)
+            reference = float(np.vdot(hx, s).real) / (
+                float(np.sum(np.abs(hx) ** 2)) + s.size * n0)
+            assert beta_star > 0
+            assert abs(beta_star - reference) <= 1e-14 * reference
+            for beta in (0.0, beta_star, 2.0 * beta_star):
+                expected = mse_objective_termwise(s, h, x, beta, n0)
+                for got in (frame_mse(s, hx, beta, n0),
+                            qp_objective(s, h, x, beta, n0)):
+                    assert abs(got - expected) <= 1e-12 * expected, (snr_db, beta)
+                zero = mse_objective_termwise(s, h, np.zeros_like(x), beta, n0)
+                got = frame_mse(s, np.zeros_like(hx), beta, n0)
+                assert abs(got - zero) <= 1e-12 * zero, (snr_db, beta)
+            assert optimal_beta_for(s, np.zeros_like(hx), n0) == 0.0
 
 
 class TestFrameInvariants:
