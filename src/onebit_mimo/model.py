@@ -125,10 +125,16 @@ def real_embed(h: np.ndarray) -> np.ndarray:
     products become real ones: stack_real(H v) = real_embed(H) @ stack_real(v).
     """
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        raise ValueError(f"channel must be a 2-D matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+    (num_ues, num_antennas), re, im = h.shape, h.real, h.imag
+    out = np.empty((2 * num_ues, 2 * num_antennas))
+    out[:num_ues, :num_antennas] = out[num_ues:, num_antennas:] = re
+    np.negative(im, out=out[:num_ues, num_antennas:])
+    out[num_ues:, :num_antennas] = im
+    return out
 
 
 def stack_real(m: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ def _lsq_prox_gain(h_r: np.ndarray, gram: np.ndarray, gamma: float) -> np.ndarra
 def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
                 max_iters: int = MAX_ITERS, rel_tol: float = REL_TOL) -> SolverResult:
     """Solve the relaxed problem; returns the best checked (2B x K) iterate as
-    ``x``.
+    ``x``, a fresh array that no later call writes to.
 
     Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
     and ``s_r`` the (2U x K) stacked frame (:func:`real_embed`,
@@ -138,16 +138,20 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
 
     with step gamma = STEP_SCALE / sqrt(L lam / (2BK)) and alpha =
     RELAXATION. The loop holds b - z rather than b, so relaxing costs no
-    extra pass over the iterate. Every
-    ``GAP_CHECK_EVERY`` iterations, and at the last, c is certified by the
-    Fenchel dual bound D(r) = 2<r, sbar> - ||r||^2 - ||Hbar^T r||_1^2 / lam
-    <= P*, with r = sbar - Hbar c. The best checked c is kept, starting from
-    b = 0 with P = ||sbar||^2 and its own bound, so the returned objective
-    never exceeds ||sbar||^2; the run converges once the kept point's
-    P - D <= ``rel_tol`` * ||sbar||^2, or stops after ``max_iters``
-    iterations. ``history`` holds the fixed-point residual ||z_new - z|| =
-    alpha ||c - b||, one entry per iteration, which never rises: z_new = T(z) with T = (1 - alpha/2) I + (alpha/2) R_g R_f,
-    R the reflections 2 prox - I. R_g R_f is nonexpansive, so T is averaged
+    extra pass over the iterate, and it writes every product and update
+    into buffers allocated once per call. Every ``GAP_CHECK_EVERY``
+    iterations, and at the last, c is certified by the Fenchel dual bound
+    D(r) = 2<r, sbar> - ||r||^2 - ||Hbar^T r||_1^2 / lam <= P*, with
+    r = sbar - Hbar c. The best checked c is kept, starting from b = 0 with
+    P = ||sbar||^2, whose own bound is computed only if no check beats it,
+    so the returned objective never exceeds ||sbar||^2. The run converges
+    once the kept point's P - D <= ``rel_tol`` * ||sbar||^2, or stops after
+    ``max_iters`` iterations.
+
+    ``history`` holds the fixed-point residual ||z_new - z|| =
+    alpha ||c - b||, one entry per iteration. It never rises. The update is
+    z_new = T(z) with T = (1 - alpha/2) I + (alpha/2) R_g R_f, where R are
+    the reflections 2 prox - I. R_g R_f is nonexpansive, so T is averaged
     for alpha < 2 and nonexpansive for alpha <= 2, and each residual
     ||T(z_new) - T(z)|| is at most the one before, ||z_new - z||.
     """
@@ -175,33 +179,40 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
         corr = float(np.sum(np.abs(h_r.T @ resid)))
         return 2.0 * float(np.vdot(resid, s_r)) - fit - corr ** 2 / penalty
 
+    r = np.empty_like(s_r)
     z = np.zeros((2 * num_antennas, num_slots))
+    g, v, mags, c, move = (np.empty_like(z) for _ in range(5))
     level = 0.0
     f_zero = float(np.vdot(s_r, s_r))
-    x_best, f_best, d_best = z, f_zero, dual_bound(s_r, f_zero)
+    # b = 0's dual bound is only needed while no checked iterate beats it
+    x_best, f_best, d_best = np.zeros_like(z), f_zero, None
     history = []
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        g = gain @ (s_r - h_r @ z)  # b = z + g
-        reflected = z + g
-        reflected += g  # 2b - z
-        level = _clip_level(np.abs(reflected), tau, level)
-        c = np.minimum(reflected, level)
+        np.subtract(s_r, np.matmul(h_r, z, out=r), out=r)
+        np.matmul(gain, r, out=g)  # b = z + g
+        np.add(z, g, out=v)
+        v += g  # 2b - z
+        level = _clip_level(np.abs(v, out=mags), tau, level)
+        np.minimum(v, level, out=c)
         np.maximum(c, -level, out=c)  # its inf-norm is level
-        move = c - z
+        np.subtract(c, z, out=move)
         move -= g
         move *= RELAXATION  # RELAXATION (c - b)
-        z = z + move
+        z += move
         history.append(math.sqrt(np.vdot(move, move)))
 
         if iterations % GAP_CHECK_EVERY == 0 or iterations == max_iters:
-            resid = s_r - h_r @ c
-            fit = float(np.vdot(resid, resid))
+            np.subtract(s_r, np.matmul(h_r, c, out=r), out=r)
+            fit = float(np.vdot(r, r))
             primal = fit + penalty * level ** 2
             if primal < f_best:
-                x_best, f_best, d_best = c, primal, dual_bound(resid, fit)
+                # c is overwritten by the next iteration
+                x_best, f_best, d_best = c.copy(), primal, dual_bound(r, fit)
+            elif d_best is None:
+                d_best = dual_bound(s_r, f_zero)
             if f_best - d_best <= rel_tol * f_zero:
                 converged = True
                 break
@@ -221,8 +232,10 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     product with H_R^T prices every candidate flip of every slot. At a fixed
     factor the slots are independent: each step applies every slot's best
     strictly improving flip until no slot has one left, re-optimizing the
-    factor between rounds. Flips only ever lower the objective, so all
-    dominance properties against the exhaustive optimum are preserved.
+    factor between rounds. A slot changes only by its own flips, so one with
+    no improving flip leaves the round, and each step prices only the slots
+    still in it. Flips only ever lower the objective, so all dominance
+    properties against the exhaustive optimum are preserved.
     The frame, its residual and S are held slot-major (K x 2B and K x 2U),
     so each slot's candidates are one contiguous row.
     """
@@ -242,16 +255,18 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
             break
         resid = s_t - beta * fitted
         flip_cost = 4.0 * beta ** 2 * level ** 2 * col_energy
-        flipped = False
+        live, flipped = slots, False
         while True:
-            gain = 4.0 * beta * x_t * (resid @ h_r) + flip_cost
+            gain = 4.0 * beta * x_t[live] * (resid @ h_r) + flip_cost
             picks = np.argmin(gain, axis=1)
-            slot_ids = np.nonzero(gain[slots, picks] < -1e-12)[0]
-            if slot_ids.size == 0:
+            improving = gain.min(axis=1) < -1e-12
+            if not improving.any():
                 break
-            picks = picks[slot_ids]
-            resid[slot_ids] += (2.0 * beta * x_t[slot_ids, picks])[:, None] * h_cols[picks]
-            x_t[slot_ids, picks] = -x_t[slot_ids, picks]
+            # resid keeps only the rows of the slots still in the round
+            live, picks, resid = live[improving], picks[improving], resid[improving]
+            signs = x_t[live, picks]
+            resid += (2.0 * beta * signs)[:, None] * h_cols[picks]
+            x_t[live, picks] = -signs
             flipped = True
         if not flipped:
             break

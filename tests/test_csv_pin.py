@@ -7,8 +7,10 @@ shows up here. It covers every precoder but the exhaustive oracle with every
 estimator on all five constellations, so the QPSK, PSK and QAM tables and
 their bit labels are pinned too. A second pin runs the linear precoders at
 the paper's size (B=128, U=16, K=10) with pilot estimation and 64-QAM, the
-``linear-pilot`` benchmark point, where the toy size cannot reach. Regenerate
-them only for an intended change of results, and say why in CHANGES.md.
+``linear-pilot`` benchmark point, where the toy size cannot reach. A third
+runs SQUID beside ZFQ at that size with blind estimation and 16-QAM, the
+``paper-squid`` benchmark point. Regenerate them only for an intended change
+of results, and say why in CHANGES.md.
 """
 
 from onebit_mimo import SweepConfig, records_to_csv, sweep
@@ -169,3 +171,21 @@ def test_paper_size_linear_sweep_matches_pinned_text():
         constellation="64qam", precoders=("zfq", "mrtq"), estimator="pilot",
         trials=4, seed=20))
     assert records_to_csv(records) == CSV_HEADER + "\n" + PAPER_SIZE_ROWS
+
+
+PAPER_SIZE_SQUID_ROWS = """\
+0,zfq,16qam,blind,2,1280,223,0.17421875,0
+0,squid,16qam,blind,2,1280,177,0.13828125,0
+8,zfq,16qam,blind,2,1280,94,0.0734375,0
+8,squid,16qam,blind,2,1280,18,0.0140625,0
+16,zfq,16qam,blind,2,1280,89,0.06953125,0
+16,squid,16qam,blind,2,1280,0,0,0
+"""
+
+
+def test_paper_size_squid_sweep_matches_pinned_text():
+    records = sweep(SweepConfig(
+        num_bs_antennas=128, num_ues=16, num_slots=10, snr_db=(0.0, 8.0, 16.0),
+        constellation="16qam", precoders=("zfq", "squid"), estimator="blind",
+        trials=2, seed=20))
+    assert records_to_csv(records) == CSV_HEADER + "\n" + PAPER_SIZE_SQUID_ROWS

@@ -197,6 +197,23 @@ class TestRealEmbedding:
         with pytest.raises(ValueError):
             real_embed(np.array([[np.nan + 0j]]))
 
+    @pytest.mark.parametrize("h", [1j, np.ones(3, dtype=complex),
+                                   np.ones((2, 2, 2), dtype=complex)],
+                             ids=["0-d", "1-D", "3-D"])
+    def test_rejects_non_matrix(self, h):
+        with pytest.raises(ValueError, match="channel must be a 2-D matrix"):
+            real_embed(h)
+
+    def test_equals_block_form_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        h[0, 0], h[1, 2] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        re, im = h.real, h.imag
+        expected = np.block([[re, -im], [im, re]])
+        got = real_embed(h)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestShapeChecks:
     @pytest.mark.parametrize("call", [

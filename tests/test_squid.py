@@ -107,6 +107,27 @@ class TestObjective:
         assert res.objective == pytest.approx(
             self._relaxed_objective(res.x, h_r, s_r, cfg), rel=1e-10)
 
+    def test_returned_iterate_outlives_the_loop_buffers(self):
+        # the loop overwrites its iterate in place, so the kept point must be
+        # a copy: at every budget the objective is that of the returned x,
+        # and a later call leaves an earlier result's x as it was
+        cases = []
+        for num_antennas, num_ues, num_slots, budgets, seed in (
+                (6, 2, 3, range(1, 13), 4), (128, 16, 10, (7,), 62)):
+            cfg = SystemConfig.from_snr_db(num_antennas, num_ues, num_slots,
+                                           snr_db=8.0)
+            h_r = real_embed(gen_rayleigh_channel(num_ues, num_antennas, seed=seed))
+            s_r = stack_real(SymbolFrame.random(
+                get_constellation("16qam"), num_ues, num_slots, seed=seed + 1).s)
+            cases += [(h_r, s_r, cfg, budget) for budget in budgets]
+        for h_r, s_r, cfg, budget in cases:
+            res = squid_relax(h_r, s_r, cfg, max_iters=budget)
+            kept = res.x.copy()
+            assert res.objective == pytest.approx(
+                self._relaxed_objective(res.x, h_r, s_r, cfg), rel=1e-12)
+            squid_relax(h_r, s_r, cfg, max_iters=budget + 1)
+            assert np.array_equal(res.x, kept)
+
 
 class TestClipLevel:
     """The warm-startable clip-level search behind the prox."""
