@@ -4,7 +4,7 @@ Each UE rescales its received samples by an estimate of the common
 precoding factor before minimum-distance detection. Three methods, each run
 once over all U UEs:
 
-- genie: the exact factor the trial takes for the frame (reference curves)
+- genie: the exact factor, which the trial fits once with the frame MSE
 - pilot_mle: one pilot slot carrying sqrt(Es) = 1 at every UE (every
   constellation here has Es = 1); the estimate is the real part of 1/y_u[1]
 - blind: matches the sample variance of the received signal to
@@ -20,6 +20,7 @@ received sample, or an estimate that is still not finite and positive, raises
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -52,15 +53,18 @@ def pilot_mle(y1) -> FactorEstimate:
     pilot sample per UE (a scalar is one UE).
     """
     y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
-    # Re{1/y} is 0 where one part of y is infinite, which would be clamped
-    if not np.isfinite(y1).all():
+    # |y| is infinite or NaN where a part of y is; Re{1/y} = 0 there would be clamped
+    if not np.isfinite(mags := np.abs(y1)).all():
         raise ValueError("a non-finite pilot sample has no finite and positive estimate")
-    # numpy divides complex numbers by Smith's method, as CPython divides a
-    # complex scalar, so the estimates match the scalar formula bit for bit
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # numpy divides by Smith's method, as CPython does a complex scalar, so the estimates
+    # match the scalar formula bit for bit; only |y| < 1e-12, clamped whatever 1/y is,
+    # can divide by zero or overflow, and the rest are finite, so none needs _checked
+    clamped = mags < 1e-12
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore") \
+            if np.count_nonzero(clamped) else nullcontext():
         raw = np.reciprocal(y1).real
-    clamped = (np.abs(y1) < 1e-12) | (raw < EPS_BETA)
-    return _checked(np.where(clamped, EPS_BETA, raw), clamped)
+    clamped |= raw < EPS_BETA
+    return FactorEstimate(np.where(clamped, EPS_BETA, raw), int(np.count_nonzero(clamped)))
 
 
 def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstimate:
@@ -76,7 +80,7 @@ def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstima
         raise ValueError("need at least one received sample")
     # a non-finite sample makes the denominator infinite or NaN, and the
     # estimate 0 or NaN, which _checked rejects
-    denom = np.mean(np.abs(y) ** 2, axis=1) - err_energy - noise_var
+    denom = np.add.reduce(np.abs(y) ** 2, axis=1) / y.shape[1] - err_energy - noise_var
     clamped = denom < EPS_DENOM
     return _checked(np.sqrt(1.0 / np.where(clamped, EPS_DENOM, denom)), clamped)
 

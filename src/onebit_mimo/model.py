@@ -299,18 +299,20 @@ def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float)
 
 def frame_mse(s: np.ndarray, hx: np.ndarray, beta: float, noise_var: float) -> float:
     """:func:`qp_objective` from the noiseless receive HX (U x K), priced with no residual
-    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the form the exhaustive
-    oracle ranks by. Its error is a few ulps of ||S||^2, so only a near-exact fit
-    S ~ beta HX with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
-    den = float(np.vdot(hx, hx).real) + s.size * noise_var
-    return float(np.vdot(s, s).real) - beta * (2.0 * float(np.vdot(hx, s).real) - beta * den)
+    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the oracle's form, from the
+    fit :func:`optimal_beta_for` shares. Its error is a few ulps of ||S||^2, so only S ~ beta HX
+    with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
+    return _fit(s, hx, noise_var, beta)[1]
 
 
 def optimal_beta_for(s: np.ndarray, hx: np.ndarray, noise_var: float) -> float:
-    """Closed-form minimizer of :func:`frame_mse` over the factor, clamped at 0,
-    from the noiseless receive HX (U x K) of a frame.
+    """Closed-form minimizer of :func:`frame_mse` over the factor, from the fit it shares:
+    beta* = max(0, Re<HX, S> / (||HX||_F^2 + U K N0)) for the noiseless receive HX (U x K)."""
+    return _fit(s, hx, noise_var)[0]
 
-    beta* = max(0, Re<HX, S> / (||HX||_F^2 + U K N0)), from ``np.vdot``.
-    """
-    den = float(np.vdot(hx, hx).real) + s.size * noise_var
-    return max(0.0, float(np.vdot(hx, s).real) / den)
+
+def _fit(s, hx, noise_var, beta=None):
+    """(beta, frame MSE at beta), beta* if None, from Re<HX, S> and ||HX||^2 + U K N0 taken once."""
+    num, den = float(np.vdot(hx, s).real), float(np.vdot(hx, hx).real) + s.size * noise_var
+    beta = max(0.0, num / den) if beta is None else beta
+    return beta, float(np.vdot(s, s).real) - beta * (2.0 * num - beta * den)

@@ -5,9 +5,9 @@ payload bits, modulate, precode with the selected precoder, form H X once
 and add noise to it, rescale each UE's samples by its estimated precoding
 factor, detect, and count bit errors over the payload slots. A precoder
 returns only its frame; the factor (the frame's MSE-optimal one) and the
-frame MSE come from inner products of the same H X with itself and with S,
-and the MSE equals :func:`~onebit_mimo.model.qp_objective` bit for bit, as
-the samples equal :func:`~onebit_mimo.model.apply_channel`'s.
+frame MSE come from one fit of the same H X to S, which takes each inner product
+once, and equal :func:`~onebit_mimo.model.optimal_beta_for`'s and ``qp_objective``'s
+bit for bit, as the samples equal :func:`~onebit_mimo.model.apply_channel`'s.
 
 Seeding scheme (counter mode): the per-trial seed is
 ``SeedSequence((master_seed, point_index, trial_index))`` where
@@ -49,9 +49,9 @@ from .model import (
     SymbolFrame,
     SystemConfig,
     _check_count,
+    _fit,
     # no trial calls apply_channel; perfbench's span tracer rebinds it here by name
     apply_channel,
-    frame_mse,
     gen_awgn,
     gen_rayleigh_channel,
     one_bit_quantize,
@@ -284,17 +284,16 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
 
     drawn, frame, noise = draw_trial_data(system, cfg.constellation,
                                           system.num_slots - pilots, trial_seed)
-    h = drawn.h
     s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
 
-    pre = PRECODERS[cfg.precoder](s_tx, h, cfg)
+    pre = PRECODERS[cfg.precoder](s_tx, drawn.h, cfg)
     # hx + noise would broadcast a frame of the wrong length silently
     if np.shape(pre.x) != (system.num_bs_antennas, system.num_slots):
         raise ValueError(f"precoder {cfg.precoder!r} returned a frame of shape "
                          f"{np.shape(pre.x)}, not (B, K) = "
                          f"{(system.num_bs_antennas, system.num_slots)}")
-    hx = h @ pre.x  # the noiseless receive, for the factor, y and the frame MSE
-    beta = optimal_beta_for(s_tx, hx, system.noise_var)
+    hx = drawn.h @ pre.x  # the noiseless receive, for the factor, y and the frame MSE
+    beta, objective = _fit(s_tx, hx, system.noise_var)
     y = hx + noise
     est = estimate(beta, y, cfg)
     s_hat = est.betas[:, None] * y[:, pilots:]
@@ -307,7 +306,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
         bits_total=int(frame.bits.size),
         clamp_flags=est.clamped,
         nonconverged=int(not pre.converged),
-        objective=frame_mse(s_tx, hx, beta, system.noise_var),
+        objective=objective,
     )
 
 

@@ -38,6 +38,19 @@ class TestPilotMle:
         assert est.betas.tolist() == [EPS_BETA, 1.0, EPS_BETA]
         assert est.clamped == 2
 
+    def test_tiny_samples_among_ordinary_ones(self):
+        # only samples with |y| < 1e-12 can divide by zero, or overflow as the
+        # subnormal 1e-310 does; they are clamped in a quiet division, and every
+        # other sample gets Re{1/y} as Python computes it, bit for bit
+        y1 = np.array([0.8 - 0.3j, 0j, 1.7 + 0.2j, 1e-13 + 0j, 0.4 + 1.1j,
+                       1e-300j, 0.05 + 2.0j, 1e-310 + 0j])
+        tiny = np.abs(y1) < 1e-12
+        est = pilot_mle(y1)
+        assert est.betas[tiny].tolist() == [EPS_BETA] * 4
+        assert est.clamped == 4
+        for beta, y in zip(est.betas[~tiny], y1[~tiny]):
+            assert beta.hex() == (1 / complex(y)).real.hex()
+
     def test_negative_real_part_clamped(self):
         est = pilot_mle(-1.0 + 0j)
         assert est.clamped == 1

@@ -213,7 +213,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("system, constellation, precoders", (
         (SystemConfig.from_snr_db(4, 2, 2, snr_db=3.0), "16qam", PRECODER_IDS),
         (SystemConfig.from_snr_db(128, 16, 10, snr_db=4.0), "64qam", ("zfq", "mrtq")),
-    ), ids=("B4", "linear_pilot_point"))
+        (SystemConfig.from_snr_db(128, 16, 10, snr_db=8.0), "16qam", ("zfq", "squid")),
+    ), ids=("B4", "linear_pilot_point", "paper_squid_point"))
     @pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
     def test_numbers_equal_the_public_functions(self, monkeypatch, system,
                                                 constellation, precoders, estimator):
