@@ -50,7 +50,6 @@ for seed in range(8):
         beta = optimal_beta_for(frame.s, h @ result.x, cfg.noise_var)
         return qp_objective(frame.s, h, result.x, beta, cfg.noise_var)
 
-    _, _, best = brute_force_qp(frame.s, h, cfg)
     sol = solve_sdp(
         assemble_T(real_embed(h), stack_real(frame.s), cfg.num_ues,
                    cfg.noise_var, cfg.transmit_power),
@@ -58,7 +57,7 @@ for seed in range(8):
     )
     row = [
         sol.objective,
-        best,
+        objective_of(brute_force_qp(frame.s, h, cfg)),
         objective_of(extract_rank_one(sol, cfg)),
         objective_of(squid_precode(frame.s, h, cfg)),
         objective_of(linear_quantized_precode(frame.s, h, cfg, zf_matrix)),

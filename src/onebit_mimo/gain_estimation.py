@@ -57,9 +57,10 @@ def pilot_mle(y1) -> FactorEstimate:
     if not np.isfinite(mags := np.abs(y1)).all():
         raise ValueError("a non-finite pilot sample has no finite and positive estimate")
     # numpy divides by Smith's method, as CPython does a complex scalar, so the estimates
-    # match the scalar formula bit for bit; only |y| < 1e-12, clamped whatever 1/y is,
-    # can divide by zero or overflow, and the rest are finite, so none needs _checked
-    clamped = mags < 1e-12
+    # match the scalar formula bit for bit; only |y| < 1e-12 or |y| > 1/EPS_BETA can divide
+    # by zero or overflow, and both are clamped whatever 1/y is (|Re 1/y| <= 1/|y|), so
+    # they are marked first; the rest are finite, so none needs _checked
+    clamped = (mags < 1e-12) | (mags > 1.0 / EPS_BETA)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore") \
             if np.count_nonzero(clamped) else nullcontext():
         raw = np.reciprocal(y1).real

@@ -290,23 +290,18 @@ def apply_channel(h, x, n: np.ndarray) -> np.ndarray:
 
 
 def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float) -> float:
-    """Total MSE of the frame, ||S - beta H X||_F^2 + beta^2 U K N0, by :func:`frame_mse`."""
+    """Total MSE of the frame, ||S - beta H X||_F^2 + beta^2 U K N0, priced with no residual
+    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the oracle's form, from the fit
+    :func:`optimal_beta_for` shares. Its error is a few ulps of ||S||^2, so only S ~ beta HX
+    with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    return frame_mse(s, h @ x, beta, noise_var)
-
-
-def frame_mse(s: np.ndarray, hx: np.ndarray, beta: float, noise_var: float) -> float:
-    """:func:`qp_objective` from the noiseless receive HX (U x K), priced with no residual
-    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the oracle's form, from the
-    fit :func:`optimal_beta_for` shares. Its error is a few ulps of ||S||^2, so only S ~ beta HX
-    with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
-    return _fit(s, hx, noise_var, beta)[1]
+    return _fit(s, h @ x, noise_var, beta)[1]
 
 
 def optimal_beta_for(s: np.ndarray, hx: np.ndarray, noise_var: float) -> float:
-    """Closed-form minimizer of :func:`frame_mse` over the factor, from the fit it shares:
+    """Closed-form minimizer of :func:`qp_objective` over the factor, from the fit it shares:
     beta* = max(0, Re<HX, S> / (||HX||_F^2 + U K N0)) for the noiseless receive HX (U x K)."""
     return _fit(s, hx, noise_var)[0]
 

@@ -54,13 +54,11 @@ from .model import (
     apply_channel,
     gen_awgn,
     gen_rayleigh_channel,
-    one_bit_quantize,
-    optimal_beta_for,
+    # nor qp_objective, which the tracer rebinds here as well
     qp_objective,
     real_embed,
     stack_real,
     unstack_real,
-    unvec,
 )
 from .sdr import sdr_precode
 from .squid import squid_precode
@@ -73,7 +71,7 @@ PRECODERS = {
     "mrtq": lambda s, h, cfg: linear_quantized_precode(s, h, cfg.system, linear.mrt_matrix),
     "squid": lambda s, h, cfg: squid_precode(s, h, cfg.system),
     "sdr": lambda s, h, cfg: sdr_precode(s, h, cfg.system),
-    "bruteforce": lambda s, h, cfg: PrecodeResult(brute_force_qp(s, h, cfg.system)[0]),
+    "bruteforce": lambda s, h, cfg: brute_force_qp(s, h, cfg.system),
 }
 PRECODER_IDS = tuple(PRECODERS)
 #: estimator id -> (pilot slots, (precoding factor, y, trial config) ->
@@ -314,7 +312,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
+def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """Exact minimizer of the frame MSE over the full 1-bit transmit set.
 
     Enumerates all 4^(BK) sign patterns of the real-embedded frame (pattern
@@ -323,7 +321,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
     first strict minimum wins, so ties break by enumeration order. Guarded
     to 4^(BK) <= 2^24.
 
-    Returns (x, beta, objective).
+    Returns the optimal frame only, as every precoder does; its factor and
+    MSE are ``optimal_beta_for`` and ``qp_objective`` of that frame.
     """
     s = np.asarray(s, dtype=complex)
     num_antennas = cfg.num_bs_antennas
@@ -341,7 +340,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
     noise_term = num_ues * num_slots * cfg.noise_var
 
     best_obj = math.inf
-    best_pattern = 0
+    # pattern 0, which a scan that finds no objective below inf (a NaN S) keeps
+    best_xr = np.full((2 * num_antennas, num_slots), level)
     bit_weights = np.arange(n_bits, dtype=np.uint32)
     total = 1 << n_bits
     for start in range(0, total, _BRUTE_FORCE_CHUNK):
@@ -360,14 +360,9 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig):
         local = int(np.argmin(obj))
         if obj[local] < best_obj:
             best_obj = float(obj[local])
-            best_pattern = start + local
+            best_xr = xr[local]
 
-    signs = 1.0 - 2.0 * ((best_pattern >> bit_weights) & 1)
-    x = unstack_real(one_bit_quantize(unvec(signs, 2 * num_antennas, num_slots), level))
-    # recompute through the shared routines so comparisons with heuristic
-    # precoders follow identical floating-point paths
-    beta_star = optimal_beta_for(s, h @ x, cfg.noise_var)
-    return x, beta_star, qp_objective(s, h, x, beta_star, cfg.noise_var)
+    return PrecodeResult(unstack_real(best_xr))
 
 
 # ---------------------------------------------------------------------------

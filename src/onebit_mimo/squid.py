@@ -96,8 +96,8 @@ def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     tau = 0 the answer is v.
     """
     v = np.asarray(v, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0 or v.size == 0:
         return v.copy()
     t = _clip_level(np.abs(v), tau, 0.0)

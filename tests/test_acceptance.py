@@ -79,7 +79,10 @@ def test_c1_oracle_optimality(small_instances):
     t0 = time.perf_counter()
     violations = 0
     for cfg, h, frame in small_instances:
-        _, _, best = brute_force_qp(frame.s, h, cfg)
+        x_best = brute_force_qp(frame.s, h, cfg).x
+        best = qp_objective(frame.s, h, x_best,
+                            optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                            cfg.noise_var)
         for result in (
             linear_quantized_precode(frame.s, h, cfg, zf_matrix),
             squid_precode(frame.s, h, cfg),
@@ -100,7 +103,10 @@ def test_c2_sdr_bound_and_tightness(small_instances):
     bound_ok = 0
     tight = 0
     for cfg, h, frame in small_instances:
-        _, _, best = brute_force_qp(frame.s, h, cfg)
+        x_best = brute_force_qp(frame.s, h, cfg).x
+        best = qp_objective(frame.s, h, x_best,
+                            optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                            cfg.noise_var)
         problem = assemble_T(real_embed(h), stack_real(frame.s), cfg.num_ues,
                              cfg.noise_var, cfg.transmit_power)
         sol = solve_sdp(problem, tol=1e-9, max_iters=100_000)

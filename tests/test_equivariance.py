@@ -22,9 +22,13 @@ from onebit_mimo.sim import draw_trial_data
 UNITS = np.array([1, -1, 1j, -1j])
 SNRS_DB = (0.0, 8.0, 16.0)
 TRIALS = 2
-#: (precoder, (B, U, K)): the paper point, and MRT at a small size
-CASES = (("zfq", (128, 16, 10)), ("squid", (128, 16, 10)), ("mrtq", (16, 4, 2)))
-CASE_IDS = tuple(f"{p}-B{size[0]}" for p, size in CASES)
+#: (precoder, (B, U, K), SNR points in dB): the paper point, MRT at a small
+#: size, SDR at one point since each of its calls takes about 0.3 s, and the
+#: exhaustive oracle within its guard
+CASES = (("zfq", (128, 16, 10), SNRS_DB), ("squid", (128, 16, 10), SNRS_DB),
+         ("mrtq", (16, 4, 2), SNRS_DB), ("sdr", (8, 2, 2), (8.0,)),
+         ("bruteforce", (2, 2, 2), SNRS_DB))
+CASE_IDS = tuple(f"{p}-B{size[0]}" for p, size, _ in CASES)
 
 
 def _symmetry(num_ues, num_antennas, seed, ue_phases=True):
@@ -50,17 +54,17 @@ def _mapped_back(x_prime, perm, q):
     return x
 
 
-def _points(size):
+def _points(size, snrs_db):
     """(system, trial seed) for every trial at every SNR point."""
-    for point, snr_db in enumerate(SNRS_DB):
+    for point, snr_db in enumerate(snrs_db):
         system = SystemConfig.from_snr_db(*size, snr_db=snr_db)
         for trial in range(TRIALS):
             yield system, trial_seed_for(41, point, trial)
 
 
-@pytest.mark.parametrize("precoder, size", CASES, ids=CASE_IDS)
-def test_frames_map_back(precoder, size):
-    for system, seed in _points(size):
+@pytest.mark.parametrize("precoder, size, snrs_db", CASES, ids=CASE_IDS)
+def test_frames_map_back(precoder, size, snrs_db):
+    for system, seed in _points(size, snrs_db):
         cfg = TrialConfig(system=system, constellation="16qam", precoder=precoder)
         drawn, frame, _ = draw_trial_data(system, "16qam", system.num_slots, seed)
         d, perm, q = _symmetry(system.num_ues, system.num_bs_antennas, seed)
@@ -71,8 +75,8 @@ def test_frames_map_back(precoder, size):
 
 
 @pytest.mark.parametrize("estimator", ("pilot", "blind"))
-@pytest.mark.parametrize("precoder, size", CASES, ids=CASE_IDS)
-def test_receive_path_is_unchanged(monkeypatch, precoder, size, estimator):
+@pytest.mark.parametrize("precoder, size, snrs_db", CASES, ids=CASE_IDS)
+def test_receive_path_is_unchanged(monkeypatch, precoder, size, snrs_db, estimator):
     # with D = I the UEs see the same H X, so the same samples, estimates and
     # bit errors; H' X' sums over the antennas in another order, which moves
     # H X and what follows from it by rounding only
@@ -86,7 +90,7 @@ def test_receive_path_is_unchanged(monkeypatch, precoder, size, estimator):
 
     pilots, estimate = sim.ESTIMATORS[estimator]
     monkeypatch.setitem(sim.ESTIMATORS, estimator, (pilots, recording(estimate)))
-    for system, seed in _points(size):
+    for system, seed in _points(size, snrs_db):
         cfg = TrialConfig(system=system, constellation="16qam", precoder=precoder,
                           estimator=estimator)
         drawn, frame, noise = draw_trial_data(system, "16qam",

@@ -1,6 +1,7 @@
 """Tests for genie / pilot / blind estimation of the precoding factor."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestPilotMle:
         assert est.clamped == 4
         for beta, y in zip(est.betas[~tiny], y1[~tiny]):
             assert beta.hex() == (1 / complex(y)).real.hex()
+
+    def test_huge_samples_clamped_without_overflow(self):
+        # |y| > 1/EPS_BETA puts Re{1/y} below EPS_BETA, so such a sample is
+        # clamped before the division, which would overflow at 1e308 + 1e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = pilot_mle([1e308 + 1e308j, -1e300, 1e10, 2])
+        assert est.betas.tolist() == [EPS_BETA] * 3 + [0.5]
+        assert est.clamped == 3
 
     def test_negative_real_part_clamped(self):
         est = pilot_mle(-1.0 + 0j)

@@ -186,5 +186,8 @@ class TestLinearQuantizedPrecode:
             res = linear_quantized_precode(frame.s, h, cfg, zf_matrix)
             beta = optimal_beta_for(frame.s, h @ res.x, cfg.noise_var)
             zfq_obj = qp_objective(frame.s, h, res.x, beta, cfg.noise_var)
-            _, _, best = brute_force_qp(frame.s, h, cfg)
+            x_best = brute_force_qp(frame.s, h, cfg).x
+            best = qp_objective(frame.s, h, x_best,
+                                optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                                cfg.noise_var)
             assert best <= zfq_obj

@@ -26,7 +26,6 @@ from onebit_mimo import (
     unvec,
     vec,
 )
-from onebit_mimo.model import frame_mse
 
 from oracles import grid_search_beta, mse_objective_termwise, naive_matmul
 
@@ -330,7 +329,7 @@ class TestOptimalBeta:
 
 
 class TestClosedFormAccuracy:
-    """frame_mse and optimal_beta_for take inner products instead of a
+    """qp_objective and optimal_beta_for take inner products instead of a
     residual; on seeded 1-bit frames they must stay within a few ulps of
     the entry-by-entry objective and of the abs-square factor."""
 
@@ -360,11 +359,10 @@ class TestClosedFormAccuracy:
             assert abs(beta_star - reference) <= 1e-14 * reference
             for beta in (0.0, beta_star, 2.0 * beta_star):
                 expected = mse_objective_termwise(s, h, x, beta, n0)
-                for got in (frame_mse(s, hx, beta, n0),
-                            qp_objective(s, h, x, beta, n0)):
-                    assert abs(got - expected) <= 1e-12 * expected, (snr_db, beta)
+                got = qp_objective(s, h, x, beta, n0)
+                assert abs(got - expected) <= 1e-12 * expected, (snr_db, beta)
                 zero = mse_objective_termwise(s, h, np.zeros_like(x), beta, n0)
-                got = frame_mse(s, np.zeros_like(hx), beta, n0)
+                got = qp_objective(s, h, np.zeros_like(x), beta, n0)
                 assert abs(got - zero) <= 1e-12 * zero, (snr_db, beta)
             assert optimal_beta_for(s, np.zeros_like(hx), n0) == 0.0
 

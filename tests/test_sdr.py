@@ -132,7 +132,10 @@ class TestSolveSdp:
                                        seed=30 + seed)
             sol = solve_sdp(_lifted_problem(frame.s, h, cfg),
                             tol=1e-9, max_iters=30000)
-            _, _, discrete = brute_force_qp(frame.s, h, cfg)
+            x_best = brute_force_qp(frame.s, h, cfg).x
+            discrete = qp_objective(frame.s, h, x_best,
+                                    optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                                    cfg.noise_var)
             assert sol.objective <= discrete + 1e-6
 
     def test_solution_feasibility(self):
@@ -216,7 +219,10 @@ class TestExtractRankOne:
             rounded = extract_rank_one(sol, cfg)
             beta = optimal_beta_for(frame.s, h @ rounded.x, cfg.noise_var)
             obj = qp_objective(frame.s, h, rounded.x, beta, cfg.noise_var)
-            _, _, best = brute_force_qp(frame.s, h, cfg)
+            x_best = brute_force_qp(frame.s, h, cfg).x
+            best = qp_objective(frame.s, h, x_best,
+                                optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                                cfg.noise_var)
             assert best <= obj
             if obj <= 1.05 * best:
                 close += 1

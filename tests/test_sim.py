@@ -317,7 +317,8 @@ class TestBruteForce:
         cfg = SystemConfig(1, 1, 1, noise_var=0.01)
         level = cfg.quant_level
         s = np.array([[3.0 * level * (1 + 1j)]])
-        x, beta, _ = brute_force_qp(s, np.eye(1), cfg)
+        x = brute_force_qp(s, np.eye(1), cfg).x
+        beta = optimal_beta_for(s, np.eye(1) @ x, cfg.noise_var)
         assert x[0, 0] == level * (1 + 1j)
         assert beta > 0
 
@@ -327,7 +328,9 @@ class TestBruteForce:
         for _ in range(3):
             h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             s = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            x, beta, obj = brute_force_qp(s, h, cfg)
+            x = brute_force_qp(s, h, cfg).x
+            obj = qp_objective(s, h, x, optimal_beta_for(s, h @ x, cfg.noise_var),
+                               cfg.noise_var)
             x_o, beta_o, obj_o = enumerate_qp(s, h, cfg.quant_level, cfg.noise_var)
             assert np.allclose(x, x_o, atol=1e-14)
             assert obj == pytest.approx(obj_o, rel=1e-10)

@@ -217,8 +217,10 @@ class TestProxSqInf:
             assert lhs <= np.linalg.norm(v1 - v2) + 1e-12
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            prox_sq_inf(np.ones(3), -0.1)
+        # NaN fails tau >= 0 too, rather than clipping everything to NaN
+        for tau in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                prox_sq_inf(np.ones(3), tau)
 
 
 class TestSquidRelax:
@@ -269,7 +271,10 @@ class TestSquidRelax:
                                        seed=50 + seed)
             res = squid_relax(real_embed(h), stack_real(frame.s), cfg,
                               max_iters=20000, rel_tol=1e-14)
-            _, _, discrete = brute_force_qp(frame.s, h, cfg)
+            x_best = brute_force_qp(frame.s, h, cfg).x
+            discrete = qp_objective(frame.s, h, x_best,
+                                    optimal_beta_for(frame.s, h @ x_best, cfg.noise_var),
+                                    cfg.noise_var)
             assert res.objective <= discrete + 1e-9
 
     def test_complex_inputs_rejected(self):
@@ -439,7 +444,7 @@ class TestSquidPrecode:
         cfg = SystemConfig(2, 1, 1, noise_var=0.1)
         h = gen_rayleigh_channel(1, 2, seed=0)
         frame = SymbolFrame.random(get_constellation("qpsk"), 1, 1, seed=1000)
-        x_star, _, _ = brute_force_qp(frame.s, h, cfg)
+        x_star = brute_force_qp(frame.s, h, cfg).x
         res = squid_precode(frame.s, h, cfg)
         assert np.array_equal(res.x, x_star)
 
