@@ -12,8 +12,9 @@ through Woodbury on the (2U x 2U) Gram matrix of the per-slot embedded
 channel H_R, so after one factorization per call each iteration takes one
 product with H_R and one with a (2B x 2U) matrix; the block matrix
 I_K kron H_R is never formed. The prox of the squared-infinity-norm penalty
-is a clip at a level found by Newton and Michelot steps, warm-started from
-the previous iteration's level. The step is
+is a clip at a level found by a Newton step warm-started from the previous
+iteration's level, which ends the search after one selection pass when that
+pass already holds the final set, and otherwise by Michelot steps. The step is
 STEP_SCALE / sqrt(L lam / (2BK)), with L = 2 sigma_max(H_R)^2 the Lipschitz
 constant of the least-squares gradient and lam / (2BK) the curvature the
 penalty has on the equal-magnitude set (after Giselsson and Boyd, "Linear
@@ -67,24 +68,29 @@ REL_TOL = 1.5e-4
 def _clip_level(mags: np.ndarray, tau: float, guess: float) -> float:
     """Root t of phi(t) = sum_i max(m_i - t, 0) - 2 tau t for tau > 0.
 
-    phi is convex and decreasing, so one Newton step from any ``guess`` lands
+    phi is convex and decreasing, so one Newton step from any ``guess``, the
+    value t = sum(active) / (2 tau + |active|) on the entries above it, lands
     at or below the root, keeping every entry above the root. When it lands
     above ``guess``, the entries above ``guess`` already hold all it keeps,
-    so a guess below the root costs one pass over ``mags``, not two.
-    Michelot steps t = sum(active) / (2 tau + |active|) on that shrinking
-    set reach the root exactly, in few passes when ``guess`` is close to it.
+    so the search goes on among them alone. Each pass selects the entries at
+    or above t; when they are the set t was computed from, t is the root, so
+    a guess that leaves no entry between itself and the root costs one
+    selection pass and one count. Otherwise Michelot steps on the selected,
+    shrinking set reach the root exactly, in few passes when ``guess`` is
+    close to it.
     """
     mags = mags.ravel()  # compress selects faster than a boolean index
-    above = mags.compress(mags > guess)
-    t = above.sum() / (2.0 * tau + above.size)
-    pool = above if t > guess else mags
-    active = pool.compress(pool >= t)
+    active = mags.compress(mags > guess)
+    t = active.sum() / (2.0 * tau + active.size)
+    pool = active if t > guess else mags
     while True:
-        t = active.sum() / (2.0 * tau + active.size)
-        keep = active >= t
-        if keep.all():
+        keep = pool >= t
+        # the kept entries lie within active or hold all of it, so equal
+        # counts mean equal sets
+        if np.count_nonzero(keep) == active.size:
             return float(t)
-        active = active.compress(keep)
+        pool = active = pool.compress(keep)
+        t = active.sum() / (2.0 * tau + active.size)
 
 
 def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
@@ -166,6 +172,9 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     num_slots = s_r.shape[1]
     if s_r.shape[0] != h_r.shape[0]:
         raise ValueError("symbol frame and channel dimensions disagree")
+    # a NaN would run out the budget and an inf overflow the dual bound
+    if not np.isfinite(s_r).all():
+        raise ValueError("symbol frame entries must be finite")
 
     penalty = (2.0 * num_ues * num_antennas * num_slots
                * cfg.noise_var / cfg.transmit_power)

@@ -154,14 +154,46 @@ class TestClipLevel:
             assert abs(bisected - root) <= 1e-12
             # a guess above the root must not lose the entries between them;
             # one just below it takes the active set from the entries above
-            # it alone, and every guess gives the level from 0 exactly
+            # it alone; one so close to it on either side that no entry
+            # lies between them ends the search after its first pass; and
+            # every guess gives the level from 0 exactly
             cold = _clip_level(mags, tau, 0.0)
             for guess in (0.0, 0.5 * root, root, 10.0 * root,
                           np.nextafter(root, 0.0), root * (1.0 - 1e-9),
-                          root * (1.0 - 1e-3)):
+                          root * (1.0 - 1e-3), np.nextafter(root, np.inf),
+                          root * (1.0 + 1e-9), root * (1.0 + 1e-3)):
                 t = _clip_level(mags, tau, guess)
                 assert abs(t - root) <= 1e-12 and abs(t - bisected) <= 1e-12
                 assert t == cold
+
+    def test_entry_between_guess_and_root_is_not_lost(self):
+        # the root is 5/6 with 4 and 1 active; each guess leaves one
+        # magnitude strictly between itself and the root (0.3 above 0.1, 1
+        # below 1.5), so the first pass does not hold the final set
+        mags, tau = np.array([4.0, 1.0, 0.3]), 2.0
+        assert sorted_clip_level(mags, tau) == 5.0 / 6.0
+        for guess in (0.1, 1.5):
+            assert _clip_level(mags, tau, guess) == 5.0 / 6.0
+
+    @pytest.mark.parametrize("snr_db", [0.0, 8.0, 16.0])
+    def test_warm_start_leaves_the_relaxation_unchanged(self, snr_db,
+                                                        monkeypatch):
+        # every guess gives the level from 0 exactly, so a run that starts
+        # each clip-level search from 0 takes the same path bit for bit
+        cfg = SystemConfig.from_snr_db(128, 16, 10, snr_db=snr_db)
+        for seed in range(60, 62):
+            h_r = real_embed(gen_rayleigh_channel(16, 128, seed=seed))
+            s_r = stack_real(SymbolFrame.random(get_constellation("16qam"),
+                                                16, 10, seed=100 + seed).s)
+            warm = squid_relax(h_r, s_r, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(squid, "_clip_level",
+                              lambda mags, tau, guess: _clip_level(mags, tau, 0.0))
+                cold = squid_relax(h_r, s_r, cfg)
+            assert np.array_equal(warm.x, cold.x)
+            assert warm.objective == cold.objective
+            assert warm.iterations == cold.iterations
+            assert np.array_equal(warm.history, cold.history)
 
 
 class TestProxSqInf:
@@ -287,16 +319,24 @@ class TestSquidRelax:
         with pytest.raises(TypeError):
             squid_relax(real_embed(h), frame.s, cfg)
 
-    @pytest.mark.parametrize("frame_rows, budget, message", [
-        (4, {"max_iters": 0}, "max_iters must be >= 1"),
-        (4, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
-        (6, {}, "dimensions disagree"),
-        (4, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
-        (4, {"max_iters": 2.5}, "max_iters must be an integer"),
-    ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float"])
-    def test_invalid_arguments_rejected(self, frame_rows, budget, message):
+    # a NaN in the frame would run out the iteration budget and an inf
+    # overflow the dual bound, so both are rejected, as real_embed rejects
+    # a non-finite channel
+    @pytest.mark.parametrize("frame_rows, fill, budget, message", [
+        (4, 1.0, {"max_iters": 0}, "max_iters must be >= 1"),
+        (4, 1.0, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
+        (6, 1.0, {}, "dimensions disagree"),
+        (4, 1.0, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
+        (4, 1.0, {"max_iters": 2.5}, "max_iters must be an integer"),
+        (4, math.nan, {}, "frame entries must be finite"),
+        (4, math.inf, {}, "frame entries must be finite"),
+    ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float",
+            "frame_nan", "frame_inf"])
+    def test_invalid_arguments_rejected(self, frame_rows, fill, budget, message):
+        s_r = np.ones((frame_rows, 2))
+        s_r[1, 0] = fill
         with pytest.raises(ValueError, match=message):
-            squid_relax(np.ones((4, 4)), np.ones((frame_rows, 2)),
+            squid_relax(np.ones((4, 4)), s_r,
                         SystemConfig(2, 2, 2, noise_var=0.1), **budget)
 
     def test_lipschitz_estimate_tracks_eigenvalue(self):
