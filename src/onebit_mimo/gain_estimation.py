@@ -13,14 +13,15 @@ once over all U UEs:
 
 The estimators are undefined for nonpositive real parts / denominators, so
 values are clamped (and counted) to keep sweeps running. A non-finite
-received sample, or an estimate that is still not finite and positive, raises
-``ValueError``, so the trial fails rather than going on at a clamped factor.
+received sample, or a genie factor that is NaN or +inf, raises ``ValueError``
+before any estimate is formed, so the trial fails rather than going on at a
+clamped factor. Every estimate formed is finite and positive, so none is
+checked afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -38,14 +39,6 @@ class FactorEstimate(NamedTuple):
     clamped: int
 
 
-def _checked(betas: np.ndarray, clamped: np.ndarray) -> FactorEstimate:
-    # a NaN carries through min and max and fails the comparison; an empty
-    # array, which holds no estimate, passes
-    if not (betas.min(initial=math.inf) > 0 and betas.max(initial=0.0) < math.inf):
-        raise ValueError("estimate must be finite and positive")
-    return FactorEstimate(betas, int(np.count_nonzero(clamped)))
-
-
 def pilot_mle(y1) -> FactorEstimate:
     """Maximum-likelihood estimates from the pilot observations y_u[1].
 
@@ -59,12 +52,10 @@ def pilot_mle(y1) -> FactorEstimate:
     # numpy divides by Smith's method, as CPython does a complex scalar, so the estimates
     # match the scalar formula bit for bit; only |y| < 1e-12 or |y| > 1/EPS_BETA can divide
     # by zero or overflow, and both are clamped whatever 1/y is (|Re 1/y| <= 1/|y|), so
-    # they are marked first; the rest are finite, so none needs _checked
-    clamped = (mags < 1e-12) | (mags > 1.0 / EPS_BETA)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore") \
-            if np.count_nonzero(clamped) else nullcontext():
-        raw = np.reciprocal(y1).real
-    clamped |= raw < EPS_BETA
+    # they are divided as 2/EPS_BETA instead, whose EPS_BETA/2 is clamped with the rest
+    raw = np.reciprocal(np.where((mags < 1e-12) | (mags > 1.0 / EPS_BETA),
+                                 2.0 / EPS_BETA + 0j, y1)).real
+    clamped = raw < EPS_BETA
     return FactorEstimate(np.where(clamped, EPS_BETA, raw), int(np.count_nonzero(clamped)))
 
 
@@ -79,14 +70,20 @@ def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstima
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     if y.shape[1] < 1:
         raise ValueError("need at least one received sample")
-    # a non-finite sample makes the denominator infinite or NaN, and the
-    # estimate 0 or NaN, which _checked rejects
+    # a non-finite sample makes the denominator +inf or NaN, which would give the
+    # estimate 0 or NaN; -inf, from an infinite err_energy or noise_var, is clamped
     denom = np.add.reduce(np.abs(y) ** 2, axis=1) / y.shape[1] - err_energy - noise_var
+    if not (denom < math.inf).all():
+        raise ValueError("a non-finite sample energy has no finite and positive estimate")
     clamped = denom < EPS_DENOM
-    return _checked(np.sqrt(1.0 / np.where(clamped, EPS_DENOM, denom)), clamped)
+    return FactorEstimate(np.sqrt(1.0 / np.where(clamped, EPS_DENOM, denom)),
+                          int(np.count_nonzero(clamped)))
 
 
 def genie_estimate(beta: float, num_ues: int) -> FactorEstimate:
     """The frame's exact factor ``beta``, granted by a genie to all ``num_ues`` UEs."""
-    clamped = np.full(num_ues, beta < EPS_BETA)
-    return _checked(np.full(num_ues, max(beta, EPS_BETA)), clamped)
+    # -inf is clamped like any factor below EPS_BETA; NaN and +inf raise
+    if not beta < math.inf:
+        raise ValueError(f"factor {beta} has no finite and positive estimate")
+    return FactorEstimate(np.full(num_ues, max(beta, EPS_BETA)),
+                          num_ues if beta < EPS_BETA else 0)

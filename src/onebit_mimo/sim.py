@@ -319,7 +319,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     index bit j, LSB first, selects the sign of entry j of vec(X_R); bit
     0 -> +l). Each candidate gets its conditionally optimal factor; the
     first strict minimum wins, so ties break by enumeration order. Guarded
-    to 4^(BK) <= 2^24.
+    to 4^(BK) <= 2^24. A non-finite entry of ``s`` or ``h`` raises
+    ``ValueError`` before the scan, which has no optimum to find then.
 
     Returns the optimal frame only, as every precoder does; its factor and
     MSE are ``optimal_beta_for`` and ``qp_objective`` of that frame.
@@ -337,11 +338,11 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     s_r = stack_real(s)
     level = cfg.quant_level
     s_energy = float(np.sum(s_r * s_r))
+    if not s_energy < math.inf:
+        raise ValueError("symbol frame entries must be finite")
     noise_term = num_ues * num_slots * cfg.noise_var
 
     best_obj = math.inf
-    # pattern 0, which a scan that finds no objective below inf (a NaN S) keeps
-    best_xr = np.full((2 * num_antennas, num_slots), level)
     bit_weights = np.arange(n_bits, dtype=np.uint32)
     total = 1 << n_bits
     for start in range(0, total, _BRUTE_FORCE_CHUNK):

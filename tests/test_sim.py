@@ -342,6 +342,16 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_qp(s, h, cfg)
 
+    @pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(1.0, math.inf)],
+                             ids=["nan", "inf"])
+    def test_nonfinite_frame_rejected(self, entry):
+        # a NaN frame has no optimum to return, and an infinite one would
+        # overflow the objective
+        cfg = SystemConfig(2, 2, 1, noise_var=0.1)
+        s = np.array([[1.0], [entry]])
+        with pytest.raises(ValueError, match="must be finite"):
+            brute_force_qp(s, np.eye(2, dtype=complex), cfg)
+
 
 class TestSweep:
     def _cfg(self, **overrides):
