@@ -137,6 +137,14 @@ def real_embed(h: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_energy(s: np.ndarray) -> float:
+    """||S||_F^2 of a symbol frame, complex or stacked real; ValueError unless finite."""
+    energy = float(np.vdot(s, s).real)
+    if not energy < math.inf:
+        raise ValueError("symbol frame entries must be finite")
+    return energy
+
+
 def stack_real(m: np.ndarray) -> np.ndarray:
     """Stack real over imaginary parts: (n, ...) complex -> (2n, ...) real."""
     m = np.asarray(m, dtype=complex)
@@ -159,10 +167,7 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec` for a rows x cols matrix."""
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    return np.asarray(v).reshape((rows, cols), order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .model import (
     SolverResult,
     SystemConfig,
     _check_count,
+    _frame_energy,
     one_bit_quantize,
     # not called here; perfbench's span tracer rebinds it here by name
     optimal_beta_for,
@@ -94,11 +95,9 @@ def _project_affine(m: np.ndarray, num_vec: int) -> np.ndarray:
     """Euclidean projection onto {symmetric, tied leading diagonal, X_nn = 1}."""
     sym = 0.5 * (m + m.T)
     idx = np.arange(num_vec)
-    tied = float(sym[idx, idx].mean())
-    out = sym.copy()
-    out[idx, idx] = tied
-    out[num_vec, num_vec] = 1.0
-    return out
+    sym[idx, idx] = float(sym[idx, idx].mean())
+    sym[num_vec, num_vec] = 1.0
+    return sym
 
 
 def _constraint_violation(z: np.ndarray, num_vec: int) -> float:
@@ -192,14 +191,14 @@ def extract_rank_one(sol: SolverResult, cfg: SystemConfig) -> PrecodeResult:
 def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """End-to-end SDR precoding.
 
-    Solves K independent single-slot SDPs (dimension 2B+1 each) and
-    concatenates the rounded slots. The result is ``converged`` only if
-    every slot's ADMM converged.
+    Rejects a non-finite ``s`` with ``ValueError``, then solves K independent
+    single-slot SDPs (dimension 2B+1 each) and concatenates the rounded
+    slots. The result is ``converged`` only if every slot's ADMM converged.
     """
-    s = np.asarray(s, dtype=complex)
+    _frame_energy(s)
     h_r, s_r = real_embed(h), stack_real(s)
     slots = []
-    for k in range(s.shape[1]):
+    for k in range(s_r.shape[1]):
         sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power))
         slots.append(extract_rank_one(sol, cfg))

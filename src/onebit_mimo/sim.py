@@ -50,6 +50,7 @@ from .model import (
     SystemConfig,
     _check_count,
     _fit,
+    _frame_energy,
     # no trial calls apply_channel; perfbench's span tracer rebinds it here by name
     apply_channel,
     gen_awgn,
@@ -320,7 +321,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     0 -> +l). Each candidate gets its conditionally optimal factor; the
     first strict minimum wins, so ties break by enumeration order. Guarded
     to 4^(BK) <= 2^24. A non-finite entry of ``s`` or ``h`` raises
-    ``ValueError`` before the scan, which has no optimum to find then.
+    ``ValueError`` before the scan, and a scan whose objectives all overflow, after.
 
     Returns the optimal frame only, as every precoder does; its factor and
     MSE are ``optimal_beta_for`` and ``qp_objective`` of that frame.
@@ -337,9 +338,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     h_r = real_embed(h)
     s_r = stack_real(s)
     level = cfg.quant_level
+    _frame_energy(s_r)  # vdot's last bit would move the tie-breaks of exact ties
     s_energy = float(np.sum(s_r * s_r))
-    if not s_energy < math.inf:
-        raise ValueError("symbol frame entries must be finite")
     noise_term = num_ues * num_slots * cfg.noise_var
 
     best_obj = math.inf
@@ -362,7 +362,8 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
         if obj[local] < best_obj:
             best_obj = float(obj[local])
             best_xr = xr[local]
-
+    if best_obj == math.inf:
+        raise ValueError("candidate objectives overflowed")
     return PrecodeResult(unstack_real(best_xr))
 
 
@@ -377,14 +378,13 @@ def sweep(cfg: SweepConfig) -> list:
     from :func:`trial_seed_for` once, and every precoder runs that trial in
     ``cfg.precoders`` order, reusing the first one's draw, so each BER is
     errors over a fixed number of bits. A rerun with the same configuration
-    produces byte-identical CSV output. A trial that raises
-    ``np.linalg.LinAlgError`` or ``ValueError`` is counted in that
-    precoder's ``failures`` rather than dropped silently; any other
-    exception propagates and ends the run, keeping the points already
-    written. A point's rows are written in precoder order and flushed
-    together once its trials run out, so an interrupted sweep keeps its
-    finished points, whole. Records come in the same order, and each one's
-    ``wall_time`` follows :class:`BerRecord`'s rule.
+    produces byte-identical CSV output. A trial that raises ``ValueError``
+    (``np.linalg.LinAlgError`` is one) counts in that precoder's ``failures``
+    rather than being dropped silently; any other exception propagates and
+    ends the run, keeping the points already written. A point's rows are
+    written in precoder order and flushed together once its trials run out,
+    so an interrupted sweep keeps its finished points, whole. Records come in
+    the same order, and each one's ``wall_time`` follows :class:`BerRecord`'s rule.
     """
     records = []
     with open(os.devnull if cfg.out is None else cfg.out, "w", encoding="ascii") as out:
@@ -402,7 +402,7 @@ def sweep(cfg: SweepConfig) -> list:
                     r.trials += 1
                     try:
                         res = run_trial(tcfg, seed)
-                    except (np.linalg.LinAlgError, ValueError):
+                    except ValueError:  # LinAlgError is one
                         r.failures += 1
                     else:
                         r.bit_errors += int(res.bit_errors.sum())

@@ -42,6 +42,7 @@ from .model import (
     SolverResult,
     SystemConfig,
     _check_count,
+    _frame_energy,
     one_bit_quantize,
     # not called here; perfbench's span tracer rebinds it here by name
     optimal_beta_for,
@@ -104,7 +105,7 @@ def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if tau == 0 or v.size == 0:
+    if tau == 0:
         return v.copy()
     t = _clip_level(np.abs(v), tau, 0.0)
     return np.clip(v, -t, t)
@@ -173,8 +174,7 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     if s_r.shape[0] != h_r.shape[0]:
         raise ValueError("symbol frame and channel dimensions disagree")
     # a NaN would run out the budget and an inf overflow the dual bound
-    if not np.isfinite(s_r).all():
-        raise ValueError("symbol frame entries must be finite")
+    f_zero = _frame_energy(s_r)
 
     penalty = (2.0 * num_ues * num_antennas * num_slots
                * cfg.noise_var / cfg.transmit_power)
@@ -192,7 +192,6 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
     z = np.zeros((2 * num_antennas, num_slots))
     g, v, mags, c, move = (np.empty_like(z) for _ in range(5))
     level = 0.0
-    f_zero = float(np.vdot(s_r, s_r))
     # b = 0's dual bound is only needed while no checked iterate beats it
     x_best, f_best, d_best = np.zeros_like(z), f_zero, None
     history = []

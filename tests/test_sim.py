@@ -22,8 +22,11 @@ from onebit_mimo import (
     gen_rayleigh_channel,
     optimal_beta_for,
     qp_objective,
+    real_embed,
     records_to_csv,
     run_trial,
+    squid_relax,
+    stack_real,
     sweep,
     trial_seed_for,
 )
@@ -352,6 +355,30 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="must be finite"):
             brute_force_qp(s, np.eye(2, dtype=complex), cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_objective_overflowing_is_rejected(self):
+        # finite input whose every candidate objective overflows to inf or
+        # NaN leaves the scan with no optimum to return
+        cfg = SystemConfig(2, 2, 1, noise_var=0.1)
+        with pytest.raises(ValueError, match="objectives overflowed"):
+            brute_force_qp(np.full((2, 1), 1 + 0j), np.full((2, 2), 1e300 + 0j), cfg)
+
+
+@pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(1.0, math.inf)],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("precoder", ["squid", "sdr", "bruteforce", "squid_relax"])
+def test_every_nonlinear_precoder_rejects_a_nonfinite_frame(precoder, entry):
+    # SQUID, SDR and the oracle share one frame check, run before any solver
+    system = SystemConfig(2, 2, 2, noise_var=0.1)
+    s = np.ones((2, 2), dtype=complex)
+    s[1, 0] = entry
+    h = gen_rayleigh_channel(2, 2, seed=3)
+    with pytest.raises(ValueError, match="frame entries must be finite"):
+        if precoder == "squid_relax":
+            squid_relax(real_embed(h), stack_real(s), system)
+        else:
+            PRECODERS[precoder](s, h, TrialConfig(system=system, precoder=precoder))
+
 
 class TestSweep:
     def _cfg(self, **overrides):
@@ -562,6 +589,17 @@ class TestSweep:
         # no finished trial, no BER: NaN rather than a perfect 0
         assert math.isnan(records[0].ber)
         assert records_to_csv(records).split("\n")[1].split(",")[7] == "nan"
+
+    def test_linalg_error_counted_as_failure(self, monkeypatch):
+        # LinAlgError is a ValueError, so the sweep's one except clause
+        # counts it; the other precoder of each trial still finishes
+        def singular(s, h, cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(sim.PRECODERS, "zfq", singular)
+        zfq, mrtq = sweep(self._cfg(snr_db=(0.0,), precoders=("zfq", "mrtq")))
+        assert (zfq.failures, zfq.trials, zfq.bits_total) == (3, 3, 0)
+        assert (mrtq.failures, mrtq.trials) == (0, 3) and mrtq.bits_total > 0
 
     def test_golden_regression(self):
         # frozen counts pin the RNG contract end to end
