@@ -152,12 +152,12 @@ def stack_real(m: np.ndarray) -> np.ndarray:
 
 
 def unstack_real(m_r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`stack_real`."""
+    """Inverse of :func:`stack_real`, C-ordered so that equal frames take one BLAS path in H X."""
     m_r = np.asarray(m_r, dtype=float)
     n = m_r.shape[0]
     if n % 2 != 0:
         raise ValueError("leading dimension must be even")
-    return m_r[: n // 2] + 1j * m_r[n // 2:]
+    return np.add(m_r[: n // 2], 1j * m_r[n // 2:], order="C")
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -296,9 +296,9 @@ def apply_channel(h, x, n: np.ndarray) -> np.ndarray:
 
 def qp_objective(s: np.ndarray, h, x: np.ndarray, beta: float, noise_var: float) -> float:
     """Total MSE of the frame, ||S - beta H X||_F^2 + beta^2 U K N0, priced with no residual
-    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)), the oracle's form, from the fit
-    :func:`optimal_beta_for` shares. Its error is a few ulps of ||S||^2, so only S ~ beta HX
-    with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
+    as ||S||^2 - beta (2 Re<HX, S> - beta (||HX||^2 + U K N0)) by the fit :func:`optimal_beta_for`
+    shares, step for step as the oracle ranks candidates. Its error is a few ulps of ||S||^2, so
+    only S ~ beta HX with N0 -> 0, which no 1-bit frame reaches, loses relative accuracy."""
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     x = np.asarray(x, dtype=complex)

@@ -60,6 +60,8 @@ from .model import (
     real_embed,
     stack_real,
     unstack_real,
+    unvec,
+    vec,
 )
 from .sdr import sdr_precode
 from .squid import squid_precode
@@ -318,9 +320,10 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
 
     Enumerates all 4^(BK) sign patterns of the real-embedded frame (pattern
     index bit j, LSB first, selects the sign of entry j of vec(X_R); bit
-    0 -> +l). Each candidate gets its conditionally optimal factor; the
-    first strict minimum wins, so ties break by enumeration order. Guarded
-    to 4^(BK) <= 2^24. A non-finite entry of ``s`` or ``h`` raises
+    0 -> +l), pricing each chunk with one product through the lift I_K kron H_R of
+    :func:`~onebit_mimo.sdr.assemble_T`, in :func:`qp_objective`'s form at each candidate's
+    optimal factor. The first strict minimum wins, so ties break by enumeration order, and a NaN
+    objective ranks last. Guarded to 4^(BK) <= 2^24. A non-finite entry of ``s`` or ``h`` raises
     ``ValueError`` before the scan, and a scan whose objectives all overflow, after.
 
     Returns the optimal frame only, as every precoder does; its factor and
@@ -335,11 +338,11 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
             f"search space 4^(B*K) = 2^{n_bits} exceeds the 2^"
             f"{BRUTE_FORCE_GUARD_BITS} guard"
         )
-    h_r = real_embed(h)
+    h_bar = np.kron(np.eye(num_slots), real_embed(h))
     s_r = stack_real(s)
-    level = cfg.quant_level
     _frame_energy(s_r)  # vdot's last bit would move the tie-breaks of exact ties
     s_energy = float(np.sum(s_r * s_r))
+    s_bar = vec(s_r)
     noise_term = num_ues * num_slots * cfg.noise_var
 
     best_obj = math.inf
@@ -348,23 +351,19 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     for start in range(0, total, _BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total),
                         dtype=np.uint32)
-        bits = (idx[:, None] >> bit_weights[None, :]) & 1
-        signs = 1.0 - 2.0 * bits
-        # vec is column-major: entry j sits at (j % 2B, j // 2B)
-        xr = (level * signs).reshape(-1, num_slots, 2 * num_antennas)
-        xr = xr.transpose(0, 2, 1)
-        hx = np.einsum("ub,pbk->puk", h_r, xr)
-        num = np.einsum("puk,uk->p", hx, s_r)
-        den = np.einsum("puk,puk->p", hx, hx) + noise_term
+        xr = cfg.quant_level * (1.0 - 2.0 * ((idx[:, None] >> bit_weights) & 1))
+        hx = xr @ h_bar.T
+        num = hx @ s_bar
+        den = np.einsum("pi,pi->p", hx, hx) + noise_term
         beta = np.maximum(0.0, num / den)
-        obj = s_energy - 2.0 * beta * num + beta ** 2 * den
-        local = int(np.argmin(obj))
+        obj = s_energy - beta * (2.0 * num - beta * den)
+        local = int(np.argmin(np.where(obj == obj, obj, math.inf)))
         if obj[local] < best_obj:
             best_obj = float(obj[local])
             best_xr = xr[local]
     if best_obj == math.inf:
         raise ValueError("candidate objectives overflowed")
-    return PrecodeResult(unstack_real(best_xr))
+    return PrecodeResult(unstack_real(unvec(best_xr, 2 * num_antennas, num_slots)))
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,16 @@ class TestRunTrial:
             power_per_slot = np.sum(np.abs(x) ** 2, axis=0)
             assert np.allclose(power_per_slot, power, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("precoder", PRECODER_IDS)
+    def test_every_frame_is_c_ordered(self, precoder):
+        # h @ x can take another BLAS path for a Fortran-ordered frame, and
+        # under some kernels that moves the last bits of the product
+        system = SystemConfig(3, 2, 2, noise_var=0.3)
+        h, frame, _ = draw_trial_data(system, "16qam", 2, trial_seed_for(21, 0, 0))
+        x = PRECODERS[precoder](frame.s, h.h, TrialConfig(system=system,
+                                                          precoder=precoder)).x
+        assert x.flags.c_contiguous
+
     def test_unknown_ids_rejected(self):
         with pytest.raises(ValueError):
             TrialConfig(system=_tiny_system(), precoder="dirty-paper")
@@ -338,6 +348,38 @@ class TestBruteForce:
             assert np.allclose(x, x_o, atol=1e-14)
             assert obj == pytest.approx(obj_o, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(6, 2, 1), (2, 1, 3), (3, 2, 2)],
+                             ids=["B6-K1", "B2-K3", "B3-K2"])
+    def test_lift_maps_each_bit_to_its_frame_entry(self, shape):
+        # 12 sign bits each; a lift or unvec taken in the wrong order prices
+        # or returns another frame than the plain loop's
+        num_antennas, num_ues, num_slots = shape
+        cfg = SystemConfig(num_antennas, num_ues, num_slots, noise_var=0.3)
+        rng = np.random.default_rng(sum(shape))
+        h = rng.standard_normal((num_ues, num_antennas)) \
+            + 1j * rng.standard_normal((num_ues, num_antennas))
+        s = rng.standard_normal((num_ues, num_slots)) \
+            + 1j * rng.standard_normal((num_ues, num_slots))
+        x = brute_force_qp(s, h, cfg).x
+        obj = qp_objective(s, h, x, optimal_beta_for(s, h @ x, cfg.noise_var),
+                           cfg.noise_var)
+        assert obj == pytest.approx(enumerate_qp(s, h, cfg.quant_level, cfg.noise_var)[2],
+                                    rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_candidate_objectives_rank_last(self):
+        # [l+jl, l+jl] and its negation overflow H X, so their objective is
+        # 0 * inf = NaN; it must not hide the finite candidates of its chunk
+        cfg = SystemConfig(2, 1, 1, noise_var=0.1)
+        s = np.array([[1 + 0j]])
+        h = np.array([[1e154 + 0j, 1e154 + 0j]])
+        x = brute_force_qp(s, h, cfg).x
+        obj = qp_objective(s, h, x, optimal_beta_for(s, h @ x, cfg.noise_var),
+                           cfg.noise_var)
+        # the optimum ties, so compare objectives rather than frames
+        assert obj == pytest.approx(enumerate_qp(s, h, cfg.quant_level, cfg.noise_var)[2],
+                                    rel=0, abs=1e-12)
+
     def test_guard_rejects_oversized_search(self):
         cfg = SystemConfig(16, 2, 1, noise_var=0.1)
         s = np.ones((2, 1), dtype=complex)
@@ -358,10 +400,11 @@ class TestBruteForce:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_objective_overflowing_is_rejected(self):
         # finite input whose every candidate objective overflows to inf or
-        # NaN leaves the scan with no optimum to return
-        cfg = SystemConfig(2, 2, 1, noise_var=0.1)
+        # NaN leaves the scan with no optimum to return; at B = 1 every
+        # candidate's H X overflows, so every objective is 0 * inf = NaN
+        cfg = SystemConfig(1, 1, 1, noise_var=0.1)
         with pytest.raises(ValueError, match="objectives overflowed"):
-            brute_force_qp(np.full((2, 1), 1 + 0j), np.full((2, 2), 1e300 + 0j), cfg)
+            brute_force_qp(np.array([[1 + 0j]]), np.array([[1e300 + 0j]]), cfg)
 
 
 @pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(1.0, math.inf)],
