@@ -16,7 +16,9 @@ values are clamped (and counted) to keep sweeps running. A non-finite
 received sample, or a genie factor that is NaN or +inf, raises ``ValueError``
 before any estimate is formed, so the trial fails rather than going on at a
 clamped factor. Every estimate formed is finite and positive, so none is
-checked afterwards.
+checked afterwards. When every pilot magnitude lies in [1e-12, 1/EPS_BETA],
+as at any working SNR, pilot_mle divides the samples in one pass; outside
+that range it guards the division first, with the same estimates.
 """
 
 from __future__ import annotations
@@ -46,8 +48,15 @@ def pilot_mle(y1) -> FactorEstimate:
     pilot sample per UE (a scalar is one UE).
     """
     y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
+    mags = np.abs(y1)
+    # in this range 1/y neither divides by zero nor overflows, so no sample needs
+    # the guards below; a NaN fails both tests and an inf the second, so they
+    # reach the guards and raise
+    if mags.min(initial=math.inf) >= 1e-12 and mags.max(initial=0.0) <= 1.0 / EPS_BETA:
+        raw = np.reciprocal(y1).real
+        return FactorEstimate(np.maximum(raw, EPS_BETA), int(np.count_nonzero(raw < EPS_BETA)))
     # |y| is infinite or NaN where a part of y is; Re{1/y} = 0 there would be clamped
-    if not np.isfinite(mags := np.abs(y1)).all():
+    if not np.isfinite(mags).all():
         raise ValueError("a non-finite pilot sample has no finite and positive estimate")
     # numpy divides by Smith's method, as CPython does a complex scalar, so the estimates
     # match the scalar formula bit for bit; only |y| < 1e-12 or |y| > 1/EPS_BETA can divide

@@ -21,8 +21,11 @@ configuration are byte-identical.
 A sweep is trial-major within each SNR point: it derives a trial's seed
 once and runs that trial for every precoder in turn. :func:`draw_trial_data`
 keeps its last draw, keyed on the seed object, so the second and later
-precoders of a trial reuse the first one's channel, bits and noise; the
-drawn arrays are read-only, so no precoder can alter what the next one sees.
+precoders of a trial reuse the first one's channel, bits and noise. The draw
+also builds the trial's K-slot transmit frame once, the pilot slots leading
+the payload (the payload array itself when there are none), and every
+precoder of the trial gets that one array; the drawn arrays are read-only,
+so no precoder can alter what the next one sees.
 
 CSV schema (fixed): snr_db,precoder,constellation,estimator,trials,
 bits_total,bit_errors,ber,clamp_flags
@@ -251,14 +254,18 @@ def draw_trial_data(system: SystemConfig, constellation: str,
     ``SeedSequence``'s entropy must not be changed in place once it has
     drawn. Safe to call from several threads at once.
     """
-    ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
+    return _draw(system, constellation, payload_slots, _seed_sequence(trial_seed))[:3]
+
+
+def _seed_sequence(trial_seed) -> np.random.SeedSequence:
+    return trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(trial_seed)
-    return _draw(system, constellation, payload_slots, ss)
 
 
 #: one entry suffices, because a sweep hands each trial's seed to its
 #: precoders one after another; a ``SeedSequence`` hashes by identity, and
-#: the cache holds it, so its id cannot be reused while the entry lives
+#: the cache holds it, so its id cannot be reused while the entry lives.
+#: Returns the channel, payload frame and noise, then the transmit frame.
 @lru_cache(maxsize=1)
 def _draw(system: SystemConfig, constellation: str, payload_slots: int,
           ss: np.random.SeedSequence):
@@ -272,9 +279,14 @@ def _draw(system: SystemConfig, constellation: str, payload_slots: int,
     h = gen_rayleigh_channel(system.num_ues, system.num_bs_antennas, chan_seed)
     frame = SymbolFrame.random(const, system.num_ues, payload_slots, bits_seed)
     noise = gen_awgn(system.num_ues, system.num_slots, system.noise_var, noise_seed)
-    for array in (h, frame.s, frame.bits, noise):
+    # the K slots the precoders get, pilots of 1 first; only a draw made
+    # outside a trial can ask for more payload slots than K
+    pilots = system.num_slots - payload_slots
+    s_tx = frame.s if pilots <= 0 else \
+        np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
+    for array in (h, frame.s, frame.bits, noise, s_tx):
         array.flags.writeable = False
-    return ChannelMatrix(h), frame, noise
+    return ChannelMatrix(h), frame, noise, s_tx
 
 
 def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
@@ -283,9 +295,11 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     const = get_constellation(cfg.constellation)
     pilots, estimate = ESTIMATORS[cfg.estimator]
 
-    drawn, frame, noise = draw_trial_data(system, cfg.constellation,
-                                          system.num_slots - pilots, trial_seed)
-    s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
+    payload_slots = system.num_slots - pilots
+    ss = _seed_sequence(trial_seed)
+    drawn, frame, noise = draw_trial_data(system, cfg.constellation, payload_slots, ss)
+    # the transmit frame built with that draw: a hit on the same memo entry
+    s_tx = _draw(system, cfg.constellation, payload_slots, ss)[3]
 
     pre = PRECODERS[cfg.precoder](s_tx, drawn.h, cfg)
     # hx + noise would broadcast a frame of the wrong length silently

@@ -100,14 +100,18 @@ def prox_sq_inf(v: np.ndarray, tau: float) -> np.ndarray:
     Returns the unique minimizer of tau ||x||_inf^2 + 0.5 ||x - v||^2. The
     solution clips v at magnitude t, where t >= 0 solves the stationarity
     equation 2 tau t = sum_i max(|v_i| - t, 0) (:func:`_clip_level`); for
-    tau = 0 the answer is v.
+    tau = 0 the answer is v. A NaN tau or a non-finite entry of v raises
+    ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    # a NaN or inf entry leaves no finite level, and the clip no minimizer
+    if not (mags := np.abs(v)).max(initial=0.0) < math.inf:
+        raise ValueError("v must be finite")
     if tau == 0:
         return v.copy()
-    t = _clip_level(np.abs(v), tau, 0.0)
+    t = _clip_level(mags, tau, 0.0)
     return np.clip(v, -t, t)
 
 
@@ -169,6 +173,9 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     h_r = np.asarray(h_r, dtype=float)
     s_r = np.asarray(s_r, dtype=float)
+    if h_r.ndim != 2 or s_r.ndim != 2:
+        raise ValueError(f"channel and frame must be 2-D, got shapes {h_r.shape} "
+                         f"and {s_r.shape}")
     num_ues, num_antennas = h_r.shape[0] // 2, h_r.shape[1] // 2
     num_slots = s_r.shape[1]
     if s_r.shape[0] != h_r.shape[0]:

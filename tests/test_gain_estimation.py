@@ -93,6 +93,27 @@ class TestPilotMle:
         assert est.clamped == sum(e == EPS_BETA for e in expected)
         assert type(est.clamped) is int
 
+    @pytest.mark.parametrize("extra", (
+        [1e-12, 1.0 / EPS_BETA],
+        [1e-12, 1.0 / EPS_BETA, np.nextafter(1e-12, 0.0)],
+        [1e-12, 1.0 / EPS_BETA, np.nextafter(1.0 / EPS_BETA, math.inf)],
+    ), ids=("on_both_bounds", "one_ulp_below", "one_ulp_above"))
+    def test_range_bounds_match_the_guarded_formula(self, extra):
+        # samples in [1e-12, 1/EPS_BETA] are divided as they are, the others as
+        # 2/EPS_BETA; whether a vector is divided in one pass or guarded, each
+        # estimate and the clamp count must be those of the guarded formula
+        rng = np.random.default_rng(8)
+        y1 = np.concatenate([rng.standard_normal(14) + 1j * rng.standard_normal(14),
+                             np.array(extra, dtype=complex)])
+        mags = np.abs(y1)
+        raw = np.reciprocal(np.where((mags < 1e-12) | (mags > 1.0 / EPS_BETA),
+                                     2.0 / EPS_BETA + 0j, y1)).real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = pilot_mle(y1)
+        assert est.betas.tobytes() == np.where(raw < EPS_BETA, EPS_BETA, raw).tobytes()
+        assert est.clamped == int(np.count_nonzero(raw < EPS_BETA))
+
     def test_nonfinite_observation_rejected(self):
         with pytest.raises(ValueError):
             pilot_mle(np.array([1.0, np.nan + 0j]))

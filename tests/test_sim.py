@@ -159,6 +159,38 @@ class TestDrawCache:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
+    @pytest.mark.parametrize("estimator", ("pilot", "blind"))
+    def test_every_precoder_gets_the_draws_transmit_frame(self, monkeypatch, estimator):
+        # the draw builds the K-slot frame once: pilots of 1, then the payload
+        frames = []
+
+        def recording(fn):
+            def call(s, h, cfg):
+                frames.append(s)
+                return fn(s, h, cfg)
+            return call
+
+        precoders = ("zfq", "mrtq", "squid")
+        for precoder in precoders:
+            monkeypatch.setitem(sim.PRECODERS, precoder, recording(sim.PRECODERS[precoder]))
+        system, seed = _tiny_system(), trial_seed_for(2, 0, 0)
+        for precoder in precoders:
+            run_trial(TrialConfig(system=system, precoder=precoder,
+                                  estimator=estimator), seed)
+        pilots = sim.ESTIMATORS[estimator][0]
+        frame = draw_trial_data(system, "qpsk", system.num_slots - pilots, seed)[1]
+        expected = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
+        assert len(frames) == len(precoders)
+        assert all(s is frames[0] for s in frames)
+        s_tx = frames[0]
+        assert (s_tx.dtype, s_tx.shape) == (expected.dtype, expected.shape)
+        assert s_tx.flags.c_contiguous and s_tx.tobytes() == expected.tobytes()
+        assert not s_tx.flags.writeable
+        with pytest.raises(ValueError):
+            s_tx[...] = 0
+        if pilots == 0:
+            assert s_tx is frame.s
+
 
 class TestRunTrial:
     def test_noiseless_single_link_is_error_free(self):
@@ -195,23 +227,25 @@ class TestRunTrial:
             assert res_bf.objective <= res_sq.objective + 1e-12
 
     def test_library_gets_the_channel_array(self, monkeypatch):
-        # the precoder sees the drawn array itself; the trial forms H X from
-        # it once, outside the precoder
-        channels = []
+        # the precoder sees the drawn arrays themselves, with no pilot slot
+        # the payload frame; the trial forms H X once, outside the precoder
+        channels, frames = [], []
 
         def recording(fn):
             def call(s, h, cfg):
                 channels.append(h)
+                frames.append(s)
                 return fn(s, h, cfg)
             return call
 
         monkeypatch.setitem(sim.PRECODERS, "zfq", recording(sim.PRECODERS["zfq"]))
         seed = trial_seed_for(2, 0, 0)
         run_trial(TrialConfig(system=_tiny_system(), precoder="zfq"), seed)
-        drawn = draw_trial_data(_tiny_system(), "qpsk", 2, seed)[0].h
+        drawn, frame, _ = draw_trial_data(_tiny_system(), "qpsk", 2, seed)
         assert len(channels) == 1
-        assert channels[0] is drawn
-        assert type(drawn) is np.ndarray and not drawn.flags.writeable
+        assert channels[0] is drawn.h
+        assert type(drawn.h) is np.ndarray and not drawn.h.flags.writeable
+        assert frames[0] is frame.s and not frame.s.flags.writeable
 
     @pytest.mark.parametrize("system, constellation, precoders", (
         (SystemConfig.from_snr_db(4, 2, 2, snr_db=3.0), "16qam", PRECODER_IDS),

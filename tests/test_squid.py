@@ -254,6 +254,15 @@ class TestProxSqInf:
             with pytest.raises(ValueError):
                 prox_sq_inf(np.ones(3), tau)
 
+    @pytest.mark.parametrize("tau", (1.0, 0.0))
+    @pytest.mark.parametrize("v", ([math.inf, 1.0], [math.nan, 1.0, -2.0],
+                                   [1.0, -math.inf]), ids=("inf", "nan", "minus_inf"))
+    def test_nonfinite_entry_rejected(self, v, tau):
+        # no finite level minimizes the prox objective there; clipping would
+        # return [inf, 1] or [nan, 0.75, -0.75] as if it were the answer
+        with pytest.raises(ValueError, match="must be finite"):
+            prox_sq_inf(np.array(v), tau)
+
 
 class TestSquidRelax:
     def test_huge_noise_drives_solution_to_zero(self):
@@ -322,21 +331,24 @@ class TestSquidRelax:
     # a NaN in the frame would run out the iteration budget and an inf
     # overflow the dual bound, so both are rejected, as real_embed rejects
     # a non-finite channel
-    @pytest.mark.parametrize("frame_rows, fill, budget, message", [
-        (4, 1.0, {"max_iters": 0}, "max_iters must be >= 1"),
-        (4, 1.0, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
-        (6, 1.0, {}, "dimensions disagree"),
-        (4, 1.0, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
-        (4, 1.0, {"max_iters": 2.5}, "max_iters must be an integer"),
-        (4, math.nan, {}, "frame entries must be finite"),
-        (4, math.inf, {}, "frame entries must be finite"),
+    @pytest.mark.parametrize("channel_shape, frame_shape, fill, budget, message", [
+        ((4, 4), (4, 2), 1.0, {"max_iters": 0}, "max_iters must be >= 1"),
+        ((4, 4), (4, 2), 1.0, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
+        ((4, 4), (6, 2), 1.0, {}, "dimensions disagree"),
+        ((4, 4), (4, 2), 1.0, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
+        ((4, 4), (4, 2), 1.0, {"max_iters": 2.5}, "max_iters must be an integer"),
+        ((4, 4), (4, 2), math.nan, {}, "frame entries must be finite"),
+        ((4, 4), (4, 2), math.inf, {}, "frame entries must be finite"),
+        ((4, 4), (4,), 1.0, {}, r"must be 2-D, got shapes \(4, 4\) and \(4,\)"),
+        ((4,), (4, 2), 1.0, {}, r"must be 2-D, got shapes \(4,\) and \(4, 2\)"),
     ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float",
-            "frame_nan", "frame_inf"])
-    def test_invalid_arguments_rejected(self, frame_rows, fill, budget, message):
-        s_r = np.ones((frame_rows, 2))
-        s_r[1, 0] = fill
+            "frame_nan", "frame_inf", "frame_1d", "channel_1d"])
+    def test_invalid_arguments_rejected(self, channel_shape, frame_shape, fill, budget,
+                                        message):
+        s_r = np.ones(frame_shape)
+        s_r.flat[2] = fill  # entry (1, 0) of a 2-D frame
         with pytest.raises(ValueError, match=message):
-            squid_relax(np.ones((4, 4)), s_r,
+            squid_relax(np.ones(channel_shape), s_r,
                         SystemConfig(2, 2, 2, noise_var=0.1), **budget)
 
     def test_lipschitz_estimate_tracks_eigenvalue(self):
@@ -480,6 +492,11 @@ class TestSignRefine:
 
 
 class TestSquidPrecode:
+    def test_one_dimensional_frame_rejected(self):
+        h = gen_rayleigh_channel(2, 4, seed=7)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            squid_precode(np.ones(2, dtype=complex), h, SystemConfig(4, 2, 1, noise_var=0.1))
+
     def test_recovers_exhaustive_optimum_on_tiny_instance(self):
         cfg = SystemConfig(2, 1, 1, noise_var=0.1)
         h = gen_rayleigh_channel(1, 2, seed=0)
