@@ -16,9 +16,7 @@ values are clamped (and counted) to keep sweeps running. A non-finite
 received sample, or a genie factor that is NaN or +inf, raises ``ValueError``
 before any estimate is formed, so the trial fails rather than going on at a
 clamped factor. Every estimate formed is finite and positive, so none is
-checked afterwards. When every pilot magnitude lies in [1e-12, 1/EPS_BETA],
-as at any working SNR, pilot_mle divides the samples in one pass; outside
-that range it guards the division first, with the same estimates.
+checked afterwards.
 """
 
 from __future__ import annotations
@@ -49,23 +47,18 @@ def pilot_mle(y1) -> FactorEstimate:
     """
     y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
     mags = np.abs(y1)
-    # in this range 1/y neither divides by zero nor overflows, so no sample needs
-    # the guards below; a NaN fails both tests and an inf the second, so they
-    # reach the guards and raise
-    if mags.min(initial=math.inf) >= 1e-12 and mags.max(initial=0.0) <= 1.0 / EPS_BETA:
-        raw = np.reciprocal(y1).real
-        return FactorEstimate(np.maximum(raw, EPS_BETA), int(np.count_nonzero(raw < EPS_BETA)))
-    # |y| is infinite or NaN where a part of y is; Re{1/y} = 0 there would be clamped
-    if not np.isfinite(mags).all():
+    # |y| is infinite or NaN where a part of y is, and the max propagates both;
+    # Re{1/y} = 0 there would be clamped
+    if not (top := mags.max(initial=0.0)) < math.inf:
         raise ValueError("a non-finite pilot sample has no finite and positive estimate")
     # numpy divides by Smith's method, as CPython does a complex scalar, so the estimates
     # match the scalar formula bit for bit; only |y| < 1e-12 or |y| > 1/EPS_BETA can divide
     # by zero or overflow, and both are clamped whatever 1/y is (|Re 1/y| <= 1/|y|), so
     # they are divided as 2/EPS_BETA instead, whose EPS_BETA/2 is clamped with the rest
-    raw = np.reciprocal(np.where((mags < 1e-12) | (mags > 1.0 / EPS_BETA),
-                                 2.0 / EPS_BETA + 0j, y1)).real
-    clamped = raw < EPS_BETA
-    return FactorEstimate(np.where(clamped, EPS_BETA, raw), int(np.count_nonzero(clamped)))
+    if mags.min(initial=math.inf) < 1e-12 or top > 1.0 / EPS_BETA:
+        y1 = np.where((mags < 1e-12) | (mags > 1.0 / EPS_BETA), 2.0 / EPS_BETA + 0j, y1)
+    raw = np.reciprocal(y1).real
+    return FactorEstimate(np.maximum(raw, EPS_BETA), int(np.count_nonzero(raw < EPS_BETA)))
 
 
 def blind_estimate(y, noise_var: float, err_energy: float = 0.0) -> FactorEstimate:

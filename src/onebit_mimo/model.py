@@ -194,11 +194,13 @@ class ChannelMatrix:
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """Payload constellation symbols (U x K) and their source bits.
+    """Transmit symbols (U x K) and the source bits of their payload.
 
-    ``bits`` has shape (U, K * bits_per_symbol), each row the concatenation of
-    the per-slot bit labels. Frames built through :meth:`random` contain only
-    constellation members; pilot columns are prepended by the harness.
+    ``bits`` has shape (U, P * bits_per_symbol) for the last P slots of ``s``,
+    the payload, each row the concatenation of the per-slot bit labels. Frames
+    built through :meth:`random` are all payload (P = K) and contain only
+    constellation members; the harness's draw puts pilot columns of 1 before
+    the payload.
     """
 
     s: np.ndarray

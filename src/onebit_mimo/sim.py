@@ -21,11 +21,11 @@ configuration are byte-identical.
 A sweep is trial-major within each SNR point: it derives a trial's seed
 once and runs that trial for every precoder in turn. :func:`draw_trial_data`
 keeps its last draw, keyed on the seed object, so the second and later
-precoders of a trial reuse the first one's channel, bits and noise. The draw
-also builds the trial's K-slot transmit frame once, the pilot slots leading
-the payload (the payload array itself when there are none), and every
-precoder of the trial gets that one array; the drawn arrays are read-only,
-so no precoder can alter what the next one sees.
+precoders of a trial reuse the first one's channel, frame and noise. The
+drawn triple is the trial's whole input: the frame's ``s`` is the K-slot
+transmit frame, the pilot slots of 1 leading the payload, and its ``bits``
+are the payload's. The drawn arrays are read-only, so no precoder can alter
+what the next one sees.
 
 CSV schema (fixed): snr_db,precoder,constellation,estimator,trials,
 bits_total,bit_errors,ber,clamp_flags
@@ -241,31 +241,33 @@ def trial_seed_for(master_seed: int, point_index: int, trial_index: int) -> np.r
 
 def draw_trial_data(system: SystemConfig, constellation: str,
                     payload_slots: int, trial_seed):
-    """Draw (channel, payload frame, noise) for one trial.
+    """Draw (channel, frame, noise) for one trial.
 
     The channel is a :class:`ChannelMatrix`: its ``h`` is the complex U x B
-    array the precoders take, and ``h_real`` its real embedding. Pure
-    function of the seed and the listed arguments; the precoder and
-    estimator choices never enter, which is what makes paired-seed
-    comparisons fair. A seed that is not a ``SeedSequence`` becomes a new
-    one. The last draw is kept and returned again for the same
-    ``SeedSequence`` object with equal other arguments, so its arrays
-    (``h.h``, ``frame.s``, ``frame.bits``, ``noise``) are read-only, and a
-    ``SeedSequence``'s entropy must not be changed in place once it has
-    drawn. Safe to call from several threads at once.
+    array the precoders take, and ``h_real`` its real embedding. The frame's
+    ``s`` is the U x K transmit frame, its first K - ``payload_slots`` slots
+    pilots of 1, and its ``bits`` those of the payload slots only;
+    ``payload_slots`` is an integer in [1, K]. Pure function of the seed and
+    the listed arguments; the precoder and estimator choices never enter,
+    which is what makes paired-seed comparisons fair. A seed that is not a
+    ``SeedSequence`` becomes a new one. The last draw is kept and returned
+    again for the same ``SeedSequence`` object with equal other arguments,
+    so its arrays (``h.h``, ``frame.s``, ``frame.bits``, ``noise``) are
+    read-only, and a ``SeedSequence``'s entropy must not be changed in place
+    once it has drawn. Safe to call from several threads at once.
     """
-    return _draw(system, constellation, payload_slots, _seed_sequence(trial_seed))[:3]
-
-
-def _seed_sequence(trial_seed) -> np.random.SeedSequence:
-    return trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(trial_seed)
+    _check_count("payload_slots", payload_slots, 1)
+    if payload_slots > system.num_slots:
+        raise ValueError(f"payload_slots must be <= num_slots = {system.num_slots}, "
+                         f"got {payload_slots}")
+    if not isinstance(trial_seed, np.random.SeedSequence):
+        trial_seed = np.random.SeedSequence(trial_seed)
+    return _draw(system, constellation, payload_slots, trial_seed)
 
 
 #: one entry suffices, because a sweep hands each trial's seed to its
 #: precoders one after another; a ``SeedSequence`` hashes by identity, and
-#: the cache holds it, so its id cannot be reused while the entry lives.
-#: Returns the channel, payload frame and noise, then the transmit frame.
+#: the cache holds it, so its id cannot be reused while the entry lives
 @lru_cache(maxsize=1)
 def _draw(system: SystemConfig, constellation: str, payload_slots: int,
           ss: np.random.SeedSequence):
@@ -279,14 +281,13 @@ def _draw(system: SystemConfig, constellation: str, payload_slots: int,
     h = gen_rayleigh_channel(system.num_ues, system.num_bs_antennas, chan_seed)
     frame = SymbolFrame.random(const, system.num_ues, payload_slots, bits_seed)
     noise = gen_awgn(system.num_ues, system.num_slots, system.noise_var, noise_seed)
-    # the K slots the precoders get, pilots of 1 first; only a draw made
-    # outside a trial can ask for more payload slots than K
-    pilots = system.num_slots - payload_slots
-    s_tx = frame.s if pilots <= 0 else \
-        np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
-    for array in (h, frame.s, frame.bits, noise, s_tx):
+    if pilots := system.num_slots - payload_slots:
+        s = np.empty((system.num_ues, system.num_slots), complex)
+        s[:, :pilots], s[:, pilots:] = 1.0, frame.s
+        frame = SymbolFrame(s, frame.bits)
+    for array in (h, frame.s, frame.bits, noise):
         array.flags.writeable = False
-    return ChannelMatrix(h), frame, noise, s_tx
+    return ChannelMatrix(h), frame, noise
 
 
 def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
@@ -295,20 +296,17 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
     const = get_constellation(cfg.constellation)
     pilots, estimate = ESTIMATORS[cfg.estimator]
 
-    payload_slots = system.num_slots - pilots
-    ss = _seed_sequence(trial_seed)
-    drawn, frame, noise = draw_trial_data(system, cfg.constellation, payload_slots, ss)
-    # the transmit frame built with that draw: a hit on the same memo entry
-    s_tx = _draw(system, cfg.constellation, payload_slots, ss)[3]
+    drawn, frame, noise = draw_trial_data(system, cfg.constellation,
+                                          system.num_slots - pilots, trial_seed)
 
-    pre = PRECODERS[cfg.precoder](s_tx, drawn.h, cfg)
+    pre = PRECODERS[cfg.precoder](frame.s, drawn.h, cfg)
     # hx + noise would broadcast a frame of the wrong length silently
     if np.shape(pre.x) != (system.num_bs_antennas, system.num_slots):
         raise ValueError(f"precoder {cfg.precoder!r} returned a frame of shape "
                          f"{np.shape(pre.x)}, not (B, K) = "
                          f"{(system.num_bs_antennas, system.num_slots)}")
     hx = drawn.h @ pre.x  # the noiseless receive, for the factor, y and the frame MSE
-    beta, objective = _fit(s_tx, hx, system.noise_var)
+    beta, objective = _fit(frame.s, hx, system.noise_var)
     y = hx + noise
     est = estimate(beta, y, cfg)
     s_hat = est.betas[:, None] * y[:, pilots:]

@@ -118,6 +118,16 @@ class TestPilotMle:
         with pytest.raises(ValueError):
             pilot_mle(np.array([1.0, np.nan + 0j]))
 
+    @pytest.mark.parametrize("y1", (
+        [math.nan, 0j], [1e-13, math.inf], [complex(1e10, math.nan)],
+        [complex(math.inf, math.nan), 1],
+    ), ids=("nan_beside_zero", "inf_beside_tiny", "nan_with_huge_part", "inf_nan_beside_one"))
+    def test_nonfinite_beside_out_of_range_samples_rejected(self, y1):
+        # the samples that are rewritten before the division must not hide a
+        # NaN or an inf from the check
+        with pytest.raises(ValueError, match="non-finite pilot sample"):
+            pilot_mle(np.array(y1, dtype=complex))
+
     @pytest.mark.parametrize("pilot", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
                                        complex(0.5, math.inf), complex(-math.inf, 2.0)],
                              ids=["inf", "-inf", "inf-imag", "-inf-real"])

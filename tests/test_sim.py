@@ -19,7 +19,10 @@ from onebit_mimo import (
     TrialConfig,
     apply_channel,
     brute_force_qp,
+    detect,
     gen_rayleigh_channel,
+    get_constellation,
+    modulate,
     optimal_beta_for,
     qp_objective,
     real_embed,
@@ -61,6 +64,21 @@ class TestTrialSeeding:
         assert np.array_equal(h1.h, h2.h)
         assert np.array_equal(f1.bits, f2.bits)
         assert np.array_equal(n1, n2)
+
+    @pytest.mark.parametrize("payload_slots", (0, 3, 1.5), ids=("zero", "K_plus_1", "fraction"))
+    def test_payload_slots_outside_one_to_k_rejected(self, payload_slots):
+        # K = 2: a longer payload would sit beside 2 slots of noise, and none
+        # would be an empty frame
+        with pytest.raises(ValueError, match="payload_slots"):
+            draw_trial_data(_tiny_system(), "qpsk", payload_slots, trial_seed_for(1, 0, 0))
+
+    @pytest.mark.parametrize("payload_slots", (1, 3))
+    def test_payload_slots_from_one_to_k_accepted(self, payload_slots):
+        system = _tiny_system(num_slots=3)
+        _, frame, noise = draw_trial_data(system, "16qam", payload_slots,
+                                          trial_seed_for(1, 0, 0))
+        assert frame.s.shape == noise.shape == (2, 3)
+        assert frame.bits.shape == (2, 4 * payload_slots)
 
 
 def _draw_arrays(system, constellation, payload_slots, seed):
@@ -161,7 +179,8 @@ class TestDrawCache:
 
     @pytest.mark.parametrize("estimator", ("pilot", "blind"))
     def test_every_precoder_gets_the_draws_transmit_frame(self, monkeypatch, estimator):
-        # the draw builds the K-slot frame once: pilots of 1, then the payload
+        # the drawn frame is the K-slot transmit frame: pilots of 1, then the
+        # payload its bits modulate
         frames = []
 
         def recording(fn):
@@ -179,17 +198,16 @@ class TestDrawCache:
                                   estimator=estimator), seed)
         pilots = sim.ESTIMATORS[estimator][0]
         frame = draw_trial_data(system, "qpsk", system.num_slots - pilots, seed)[1]
-        expected = np.concatenate([np.ones((system.num_ues, pilots)), frame.s], axis=1)
         assert len(frames) == len(precoders)
-        assert all(s is frames[0] for s in frames)
-        s_tx = frames[0]
-        assert (s_tx.dtype, s_tx.shape) == (expected.dtype, expected.shape)
-        assert s_tx.flags.c_contiguous and s_tx.tobytes() == expected.tobytes()
-        assert not s_tx.flags.writeable
+        assert all(s is frame.s for s in frames)
+        s_tx = frame.s
+        assert s_tx.shape == (system.num_ues, system.num_slots)
+        assert s_tx.flags.c_contiguous and not s_tx.flags.writeable
         with pytest.raises(ValueError):
             s_tx[...] = 0
-        if pilots == 0:
-            assert s_tx is frame.s
+        assert s_tx[:, :pilots].tobytes() == np.ones((system.num_ues, pilots), complex).tobytes()
+        payload = modulate(frame.bits, get_constellation("qpsk")).reshape(system.num_ues, -1)
+        assert s_tx[:, pilots:].tobytes() == payload.tobytes()
 
 
 class TestRunTrial:
@@ -279,8 +297,7 @@ class TestRunTrial:
                 res = run_trial(cfg, seed)
                 h, frame, noise = draw_trial_data(system, constellation,
                                                   system.num_slots - pilots, seed)
-                s_tx = np.concatenate([np.ones((system.num_ues, pilots)), frame.s],
-                                      axis=1)
+                s_tx = frame.s
                 pre = seen["precode"][1]
                 (beta, y_seen, _), _ = seen["estimate"]
                 expected_beta = optimal_beta_for(s_tx, h.h @ pre.x, system.noise_var)
@@ -289,6 +306,38 @@ class TestRunTrial:
                 assert res.objective.hex() == expected.hex()
                 y = apply_channel(h.h, pre.x, noise)
                 assert y_seen.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("estimator", ("pilot", "blind"))
+    def test_trial_runs_on_the_draw_it_made(self, monkeypatch, estimator):
+        # whatever draw_trial_data returns is the trial's whole input: another
+        # seed's draw swapped in reaches the precoder, and its bits the count
+        seen = {}
+
+        def recording(key, fn):
+            def call(*args):
+                seen[key] = args, fn(*args)
+                return seen[key][1]
+            return call
+
+        system = _tiny_system(snr_db=0.0, num_slots=3)
+        pilots, estimate = sim.ESTIMATORS[estimator]
+        monkeypatch.setitem(sim.PRECODERS, "zfq", recording("precode", PRECODERS["zfq"]))
+        monkeypatch.setitem(sim.ESTIMATORS, estimator,
+                            (pilots, recording("estimate", estimate)))
+        other = draw_trial_data(system, "16qam", system.num_slots - pilots,
+                                trial_seed_for(7, 0, 0))
+        monkeypatch.setattr(sim, "draw_trial_data", lambda *args: other)
+        cfg = TrialConfig(system=system, constellation="16qam", precoder="zfq",
+                          estimator=estimator)
+        res = run_trial(cfg, trial_seed_for(6, 0, 0))
+        frame = other[1]
+        assert seen["precode"][0][0] is frame.s
+        (_, y, _), est = seen["estimate"]
+        const = get_constellation("16qam")
+        bits_hat = const.labels[detect(est.betas[:, None] * y[:, pilots:], const)]
+        errors = (bits_hat.reshape(system.num_ues, -1) != frame.bits).sum(axis=1)
+        assert res.bit_errors.tolist() == errors.tolist()
+        assert res.bits_total == frame.bits.size
 
     def test_frame_of_the_wrong_length_fails_the_trial(self, monkeypatch):
         # H X + N would broadcast a B x 1 frame over K = 3 slots silently
