@@ -41,11 +41,12 @@ def mrt_matrix(h, s) -> np.ndarray:
     return np.asarray(h, dtype=complex).conj().T @ s
 
 
-def linear_quantized_precode(s: np.ndarray, h, cfg: SystemConfig,
+def linear_quantized_precode(s: np.ndarray, h: np.ndarray, cfg: SystemConfig,
                              matrix) -> PrecodeResult:
-    """Linear precoding of the frame with P S = matrix(H, S), then 1-bit
-    quantization, slot by slot; like every precoder's, the frame is judged at
-    its MSE-optimal factor."""
+    """Linear precoding of the frame with P S = matrix(H, S), then 1-bit quantization,
+    slot by slot, of arrays ``h`` and ``s`` that ``cfg.check_shapes`` passes; like
+    every precoder's, the frame is judged at its MSE-optimal factor."""
+    cfg.check_shapes(h, s)
     # the float view needs a contiguous complex array; a matmul result
     # already is one, so this copies nothing on the precoders' path
     z = np.ascontiguousarray(matrix(h, s), dtype=complex)

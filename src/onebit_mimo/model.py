@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +79,16 @@ class SystemConfig:
             raise ValueError("transmit_power must be finite and > 0")
         if not 0.0 < self.noise_var < math.inf:
             raise ValueError("noise_var must be finite and > 0")
+
+    def check_shapes(self, h: np.ndarray, s: np.ndarray, embedded: bool = False) -> None:
+        """The size rule of every precoder: ValueError unless the channel array ``h`` is
+        U x B and the frame array ``s`` U x K, or, if ``embedded``, 2U x 2B and 2U x K."""
+        m = 2 if embedded else 1
+        u = m * self.num_ues
+        if h.shape != (u, m * self.num_bs_antennas) or s.shape != (u, self.num_slots):
+            raise ValueError(f"{'real-embedded ' if embedded else ''}channel of shape "
+                             f"{h.shape} and frame of shape {s.shape} do not fit (U, B, K) = "
+                             f"({self.num_ues}, {self.num_bs_antennas}, {self.num_slots})")
 
     @property
     def quant_level(self) -> float:
@@ -178,18 +187,12 @@ class ChannelMatrix:
     """A drawn channel ``h`` (U x B) and its real embedding; only the trial draw builds one."""
 
     def __init__(self, h: np.ndarray):
-        h = np.asarray(h, dtype=complex)
-        if h.ndim != 2:
-            raise ValueError("channel must be a 2-D matrix")
         self.h = h
 
-    @cached_property
+    @property
     def h_real(self) -> np.ndarray:
-        """Real embedding of H, computed on first use; read-only, like a
-        drawn ``h``, since one draw may serve several precoders."""
-        h_real = real_embed(self.h)
-        h_real.flags.writeable = False
-        return h_real
+        """Real embedding of ``h`` (:func:`real_embed`), a new array on each read."""
+        return real_embed(self.h)
 
 
 @dataclass(frozen=True)

@@ -188,17 +188,19 @@ def extract_rank_one(sol: SolverResult, cfg: SystemConfig) -> PrecodeResult:
     return PrecodeResult(x=x, converged=sol.converged)
 
 
-def sdr_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
+def sdr_precode(s: np.ndarray, h: np.ndarray, cfg: SystemConfig) -> PrecodeResult:
     """End-to-end SDR precoding.
 
-    Rejects a non-finite ``s`` with ``ValueError``, then solves K independent
-    single-slot SDPs (dimension 2B+1 each) and concatenates the rounded
-    slots. The result is ``converged`` only if every slot's ADMM converged.
+    Rejects shapes ``cfg.check_shapes`` refuses and a non-finite ``s`` with
+    ``ValueError``, then solves K independent single-slot SDPs (dimension 2B+1
+    each) and concatenates the rounded slots. The result is ``converged`` only
+    if every slot's ADMM converged.
     """
+    cfg.check_shapes(h, s)
     _frame_energy(s)
     h_r, s_r = real_embed(h), stack_real(s)
     slots = []
-    for k in range(s_r.shape[1]):
+    for k in range(cfg.num_slots):
         sol = solve_sdp(assemble_T(h_r, s_r[:, k], cfg.num_ues,
                                    cfg.noise_var, cfg.transmit_power))
         slots.append(extract_rank_one(sol, cfg))

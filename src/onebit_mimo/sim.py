@@ -244,7 +244,7 @@ def draw_trial_data(system: SystemConfig, constellation: str,
     """Draw (channel, frame, noise) for one trial.
 
     The channel is a :class:`ChannelMatrix`: its ``h`` is the complex U x B
-    array the precoders take, and ``h_real`` its real embedding. The frame's
+    array the precoders take, ``h_real`` a fresh real embedding. The frame's
     ``s`` is the U x K transmit frame, its first K - ``payload_slots`` slots
     pilots of 1, and its ``bits`` those of the payload slots only;
     ``payload_slots`` is an integer in [1, K]. Pure function of the seed and
@@ -327,7 +327,7 @@ def run_trial(cfg: TrialConfig, trial_seed) -> TrialResult:
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
+def brute_force_qp(s: np.ndarray, h: np.ndarray, cfg: SystemConfig) -> PrecodeResult:
     """Exact minimizer of the frame MSE over the full 1-bit transmit set.
 
     Enumerates all 4^(BK) sign patterns of the real-embedded frame (pattern
@@ -335,15 +335,15 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     0 -> +l), pricing each chunk with one product through the lift I_K kron H_R of
     :func:`~onebit_mimo.sdr.assemble_T`, in :func:`qp_objective`'s form at each candidate's
     optimal factor. The first strict minimum wins, so ties break by enumeration order, and a NaN
-    objective ranks last. Guarded to 4^(BK) <= 2^24. A non-finite entry of ``s`` or ``h`` raises
-    ``ValueError`` before the scan, and a scan whose objectives all overflow, after.
+    objective ranks last. Guarded to 4^(BK) <= 2^24. Shapes ``cfg.check_shapes`` refuses and a
+    non-finite entry of ``s`` or ``h`` raise ``ValueError`` before the scan, and a scan whose
+    objectives all overflow, after.
 
     Returns the optimal frame only, as every precoder does; its factor and
     MSE are ``optimal_beta_for`` and ``qp_objective`` of that frame.
     """
-    s = np.asarray(s, dtype=complex)
-    num_antennas = cfg.num_bs_antennas
-    num_ues, num_slots = s.shape
+    cfg.check_shapes(h, s)
+    num_antennas, num_slots = cfg.num_bs_antennas, cfg.num_slots
     n_bits = 2 * num_antennas * num_slots
     if n_bits > BRUTE_FORCE_GUARD_BITS:
         raise ValueError(
@@ -355,7 +355,7 @@ def brute_force_qp(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     _frame_energy(s_r)  # vdot's last bit would move the tie-breaks of exact ties
     s_energy = float(np.sum(s_r * s_r))
     s_bar = vec(s_r)
-    noise_term = num_ues * num_slots * cfg.noise_var
+    noise_term = cfg.num_ues * num_slots * cfg.noise_var
 
     best_obj = math.inf
     bit_weights = np.arange(n_bits, dtype=np.uint32)

@@ -141,7 +141,8 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
 
     Works on the real embedding: ``h_r`` is the (2U x 2B) embedded channel
     and ``s_r`` the (2U x K) stacked frame (:func:`real_embed`,
-    :func:`stack_real`). Douglas-Rachford splitting of P(b) = f(b) + g(b),
+    :func:`stack_real`) of ``cfg``'s sizes, checked by ``cfg.check_shapes``.
+    Douglas-Rachford splitting of P(b) = f(b) + g(b),
     f(b) = ||sbar - Hbar b||^2 and g(b) = lam ||b||_inf^2, from z = 0:
 
         b = prox_{gamma f}(z),  c = prox_{gamma g}(2b - z),
@@ -173,17 +174,12 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     h_r = np.asarray(h_r, dtype=float)
     s_r = np.asarray(s_r, dtype=float)
-    if h_r.ndim != 2 or s_r.ndim != 2:
-        raise ValueError(f"channel and frame must be 2-D, got shapes {h_r.shape} "
-                         f"and {s_r.shape}")
-    num_ues, num_antennas = h_r.shape[0] // 2, h_r.shape[1] // 2
-    num_slots = s_r.shape[1]
-    if s_r.shape[0] != h_r.shape[0]:
-        raise ValueError("symbol frame and channel dimensions disagree")
+    cfg.check_shapes(h_r, s_r, embedded=True)
     # a NaN would run out the budget and an inf overflow the dual bound
     f_zero = _frame_energy(s_r)
 
-    penalty = (2.0 * num_ues * num_antennas * num_slots
+    num_antennas, num_slots = cfg.num_bs_antennas, cfg.num_slots
+    penalty = (2.0 * cfg.num_ues * num_antennas * num_slots
                * cfg.noise_var / cfg.transmit_power)
     gram = h_r @ h_r.T
     lipschitz = max(estimate_gradient_lipschitz(gram), 1e-12)
@@ -237,8 +233,9 @@ def squid_relax(h_r: np.ndarray, s_r: np.ndarray, cfg: SystemConfig,
 
 
 def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
-                        noise_var: float, level: float) -> np.ndarray:
-    """Coordinate descent on the exact frame MSE over the sign pattern.
+                        cfg: SystemConfig) -> np.ndarray:
+    """Coordinate descent on the exact frame MSE over the sign pattern of ``x_r``,
+    with U, K, N0 and the level l read from ``cfg``.
 
     The least-squares minimizer of the relaxation is far from unique (the
     block channel has a huge nullspace) and one-shot sign rounding of any
@@ -252,24 +249,21 @@ def _greedy_sign_refine(x_r: np.ndarray, h_r: np.ndarray, s_r: np.ndarray,
     still in it. Flips only ever lower the objective, so all dominance
     properties against the exhaustive optimum are preserved.
     The frame, its residual and S are held slot-major (K x 2B and K x 2U),
-    so each slot's candidates are one contiguous row.
+    so each slot's candidates are one contiguous row. At a factor of 0 no flip gains.
     """
-    num_ues = h_r.shape[0] // 2
-    num_slots = s_r.shape[1]
-    slots = np.arange(num_slots)
+    slots = np.arange(cfg.num_slots)
     h_cols = h_r.T  # row i is column i of H_R
     col_energy = np.sum(h_r * h_r, axis=0)
+    noise_term = cfg.num_ues * cfg.num_slots * cfg.noise_var
     x_t = x_r.T.copy()
     s_t = s_r.T
 
     for _ in range(REFINEMENT_ROUNDS):
         fitted = x_t @ h_cols
-        den = float(np.sum(fitted * fitted)) + num_ues * num_slots * noise_var
+        den = float(np.sum(fitted * fitted)) + noise_term
         beta = max(0.0, float(np.sum(fitted * s_t)) / den)
-        if beta == 0.0:
-            break
         resid = s_t - beta * fitted
-        flip_cost = 4.0 * beta ** 2 * level ** 2 * col_energy
+        flip_cost = 4.0 * beta ** 2 * cfg.quant_level ** 2 * col_energy
         live, flipped = slots, False
         while True:
             gain = 4.0 * beta * x_t[live] * (resid @ h_r) + flip_cost
@@ -299,7 +293,6 @@ def squid_precode(s: np.ndarray, h, cfg: SystemConfig) -> PrecodeResult:
     """
     h_r, s_r = real_embed(h), stack_real(s)
     relaxed = squid_relax(h_r, s_r, cfg)
-    level = cfg.quant_level
-    x_r = one_bit_quantize(relaxed.x, level)
-    x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg.noise_var, level))
+    x_r = one_bit_quantize(relaxed.x, cfg.quant_level)
+    x = unstack_real(_greedy_sign_refine(x_r, h_r, s_r, cfg))
     return PrecodeResult(x=x, converged=relaxed.converged)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from onebit_mimo import (
-    ChannelMatrix,
     PRECODERS,
     SymbolFrame,
     SystemConfig,
@@ -218,9 +217,8 @@ class TestShapeChecks:
     @pytest.mark.parametrize("call", [
         lambda: unstack_real(np.ones((3, 2))),
         lambda: unvec(np.ones(5), 2, 3),
-        lambda: ChannelMatrix(np.ones(3)),
         lambda: gen_rayleigh_channel(0, 2, seed=0),
-    ], ids=["odd_unstack", "unvec_size", "1d_channel", "no_ues"])
+    ], ids=["odd_unstack", "unvec_size", "no_ues"])
     def test_malformed_shape_rejected(self, call):
         with pytest.raises(ValueError):
             call()

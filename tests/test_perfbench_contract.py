@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onebit_mimo import SweepConfig, SystemConfig, sweep
+from onebit_mimo import SweepConfig, SystemConfig, real_embed, sweep
 from onebit_mimo.sim import draw_trial_data
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -91,6 +91,7 @@ def test_drawn_channel_keeps_its_real_embedding():
     system = SystemConfig.from_snr_db(8, 3, 2, snr_db=0.0)
     h, _, _ = draw_trial_data(system, "qpsk", 2, np.random.SeedSequence(1))
     assert h.h_real.shape == (6, 16)
+    assert h.h_real.tobytes() == real_embed(h.h).tobytes()
 
 
 def test_microbenchmarks_run_on_the_library():

@@ -33,7 +33,7 @@ from onebit_mimo import (
     sweep,
     trial_seed_for,
 )
-from onebit_mimo import sim
+from onebit_mimo import linear, sdr, sim, squid
 from onebit_mimo.sim import CSV_HEADER, draw_trial_data
 
 from oracles import enumerate_qp
@@ -103,7 +103,7 @@ class TestDrawCache:
     def test_arrays_are_read_only(self):
         h, frame, noise = draw_trial_data(_tiny_system(), "16qam", 2,
                                           trial_seed_for(1, 0, 0))
-        for array in (h.h, h.h_real, frame.s, frame.bits, noise):
+        for array in (h.h, frame.s, frame.bits, noise):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -504,6 +504,30 @@ def test_every_nonlinear_precoder_rejects_a_nonfinite_frame(precoder, entry):
             squid_relax(real_embed(h), stack_real(s), system)
         else:
             PRECODERS[precoder](s, h, TrialConfig(system=system, precoder=precoder))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a solver ran on arrays that do not fit the config")
+
+
+@pytest.mark.parametrize("h_shape, s_shape", [
+    ((2, 4), (2, 2)), ((3, 8), (3, 2)), ((2, 8), (2, 3)), ((2, 8), (2,)),
+], ids=["antennas", "ues", "slots", "frame_1d"])
+@pytest.mark.parametrize("precoder", ["zfq", "mrtq", "squid", "sdr", "bruteforce"])
+def test_every_precoder_rejects_arrays_that_do_not_fit_the_config(precoder, h_shape,
+                                                                  s_shape, monkeypatch):
+    # B, U and K come from the config alone, so a channel or frame of another
+    # size is rejected before any solve rather than precoded at the config's
+    # level; the oracle's scan has no entry to patch, so its message shows it
+    for module, name in ((linear, "zf_matrix"), (linear, "mrt_matrix"),
+                         (squid, "_lsq_prox_gain"), (sdr, "solve_sdp")):
+        monkeypatch.setattr(module, name, _never_called)
+    system = SystemConfig.from_snr_db(8, 2, 2, snr_db=10.0)
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal(h_shape) + 1j * rng.standard_normal(h_shape)
+    with pytest.raises(ValueError, match=r"do not fit \(U, B, K\) = \(2, 8, 2\)"):
+        PRECODERS[precoder](np.ones(s_shape, dtype=complex), h,
+                            TrialConfig(system=system, precoder=precoder))
 
 
 class TestSweep:

@@ -334,15 +334,16 @@ class TestSquidRelax:
     @pytest.mark.parametrize("channel_shape, frame_shape, fill, budget, message", [
         ((4, 4), (4, 2), 1.0, {"max_iters": 0}, "max_iters must be >= 1"),
         ((4, 4), (4, 2), 1.0, {"rel_tol": 0.0}, "rel_tol must be finite and > 0"),
-        ((4, 4), (6, 2), 1.0, {}, "dimensions disagree"),
+        ((4, 4), (6, 2), 1.0, {}, r"shape \(4, 4\) and frame of shape \(6, 2\) do not fit"),
         ((4, 4), (4, 2), 1.0, {"rel_tol": math.inf}, "rel_tol must be finite and > 0"),
         ((4, 4), (4, 2), 1.0, {"max_iters": 2.5}, "max_iters must be an integer"),
         ((4, 4), (4, 2), math.nan, {}, "frame entries must be finite"),
         ((4, 4), (4, 2), math.inf, {}, "frame entries must be finite"),
-        ((4, 4), (4,), 1.0, {}, r"must be 2-D, got shapes \(4, 4\) and \(4,\)"),
-        ((4,), (4, 2), 1.0, {}, r"must be 2-D, got shapes \(4,\) and \(4, 2\)"),
+        ((4, 4), (4,), 1.0, {}, r"shape \(4, 4\) and frame of shape \(4,\) do not fit"),
+        ((4,), (4, 2), 1.0, {}, r"shape \(4,\) and frame of shape \(4, 2\) do not fit"),
+        ((4, 4), (4, 3), 1.0, {}, r"\(4, 3\) do not fit \(U, B, K\) = \(2, 2, 2\)"),
     ], ids=["max_iters", "rel_tol", "shape_mismatch", "rel_tol_inf", "max_iters_float",
-            "frame_nan", "frame_inf", "frame_1d", "channel_1d"])
+            "frame_nan", "frame_inf", "frame_1d", "channel_1d", "slot_mismatch"])
     def test_invalid_arguments_rejected(self, channel_shape, frame_shape, fill, budget,
                                         message):
         s_r = np.ones(frame_shape)
@@ -466,8 +467,9 @@ class TestDualCertificate:
 class TestSignRefine:
     def test_slot_parallel_matches_sequential(self):
         # at a fixed factor the slots are independent, so refining them all
-        # at once must give the per-slot oracle's frame exactly
-        flipped = 0
+        # at once must give the per-slot oracle's frame exactly; about half
+        # the random frames start anti-aligned, at a factor of 0
+        flipped = at_zero = 0
         for num_antennas in (8, 16, 32):
             for num_slots in (1, 3, 5):
                 for snr_db in (0.0, 12.0):
@@ -483,18 +485,19 @@ class TestSignRefine:
                         rng = np.random.default_rng(90 + seed)
                         x_r = cfg.quant_level * rng.choice(
                             [-1.0, 1.0], size=(2 * num_antennas, num_slots))
-                        args = (x_r, h_r, s_r, cfg.noise_var, cfg.quant_level)
-                        got = _greedy_sign_refine(*args)
-                        assert np.array_equal(
-                            got, sequential_sign_refine(*args, REFINEMENT_ROUNDS))
+                        got = _greedy_sign_refine(x_r, h_r, s_r, cfg)
+                        assert np.array_equal(got, sequential_sign_refine(
+                            x_r, h_r, s_r, cfg.noise_var, cfg.quant_level,
+                            REFINEMENT_ROUNDS))
                         flipped += int(np.sum(got != x_r))
-        assert flipped > 0
+                        at_zero += float(np.sum((h_r @ x_r) * s_r)) <= 0.0
+        assert flipped > 0 and at_zero > 0
 
 
 class TestSquidPrecode:
     def test_one_dimensional_frame_rejected(self):
         h = gen_rayleigh_channel(2, 4, seed=7)
-        with pytest.raises(ValueError, match="must be 2-D"):
+        with pytest.raises(ValueError, match=r"frame of shape \(4,\) do not fit"):
             squid_precode(np.ones(2, dtype=complex), h, SystemConfig(4, 2, 1, noise_var=0.1))
 
     def test_recovers_exhaustive_optimum_on_tiny_instance(self):
