@@ -61,9 +61,12 @@ def assemble_T(h_r: np.ndarray, s_r: np.ndarray, num_ues: int,
     """Cost matrix of the program lifted to Hbar = I_K kron h_r, sbar = vec(s_r).
 
     ``h_r`` is the embedded channel (2U x 2B) and ``s_r`` the stacked frame,
-    (2U,) for one slot or (2U, K). T has dimension 2BK+1, and for every b:
+    (2U,) for one slot or (2U, K); ``num_ues`` must be the U of ``h_r``. T has
+    dimension 2BK+1, and for every b:
     [b^T 1] T [b^T 1]^T = ||sbar - Hbar b||^2 + (U N0/P)||b||^2.
     """
+    if np.shape(h_r)[0] != 2 * num_ues:
+        raise ValueError(f"h_r has {np.shape(h_r)[0]} rows, not 2U = {2 * num_ues}")
     s_r = np.asarray(s_r, dtype=float)
     num_slots = s_r.shape[1] if s_r.ndim == 2 else 1
     hbar_r = np.kron(np.eye(num_slots), np.asarray(h_r, dtype=float))

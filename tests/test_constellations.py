@@ -88,6 +88,23 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate([0, 1, 0], get_constellation("qpsk"))
 
+    @pytest.mark.parametrize("bits", [
+        [0, 0, 0, 2], np.array([3, 0, 1, 255], dtype=np.uint8), [0, 0, 1, -1],
+        np.array([0, 0, 0, 256]), [0.5, 0, 1, 1], [0.0, np.nan, 1.0, 0.0]],
+        ids=["two", "uint8", "negative", "wraps_to_zero", "fraction", "nan"])
+    def test_rejects_bits_other_than_zero_and_one(self, bits):
+        # a 2 would index another label's point; 256 and 0.5 would turn
+        # into a valid bit in a cast to uint8
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            modulate(bits, get_constellation("16qam"))
+
+    def test_zeros_and_ones_of_any_dtype_accepted(self):
+        c = get_constellation("16qam")
+        bits = c.labels.reshape(-1)
+        for given in (bits.tolist(), bits.astype(bool), bits.astype(float),
+                      bits.astype(np.int64)):
+            assert np.array_equal(modulate(given, c), modulate(bits, c))
+
 
 class TestDetect:
     @pytest.mark.parametrize("name", ALL_IDS)
@@ -129,15 +146,22 @@ class TestDetect:
         assert not mags.max() - mags.min() < 1e-12
 
     def test_64qam_axes_are_read_off_the_table(self):
-        c = get_constellation("64qam")
-        in_phase, quadrature = c.axes
-        grid = (in_phase[:, None] + 1j * quadrature).ravel()
-        assert np.array_equal(grid.real, c.points.real)
-        assert np.array_equal(grid.imag, c.points.imag)
+        # every grid's slicer levels are the table's own, bit for bit, on
+        # both axes, and its code table puts each label at its sorted levels
+        for name in SQUARE_IDS:
+            c = get_constellation(name)
+            levels = c.slicer.levels
+            side = levels.size
+            assert side ** 2 == c.points.size
+            assert np.array_equal(np.sort(c.points.real[::side]), levels)
+            assert np.array_equal(np.sort(c.points.imag[:side]), levels)
+            assert np.array_equal(c.points.real[c.slicer.codes], np.repeat(levels, side))
+            assert np.array_equal(c.points.imag[c.slicer.codes], np.tile(levels, side))
 
-    @pytest.mark.parametrize("name", ["qpsk", "16qam", "8psk", "16psk"])
+    @pytest.mark.parametrize("name", ["8psk", "16psk"])
     def test_joint_search_below_64_points(self, name):
-        assert get_constellation(name).axes is None
+        # the PSK sets have no slicer: the joint search decides them
+        assert get_constellation(name).slicer is None
 
     @pytest.mark.parametrize("name", SQUARE_IDS)
     def test_exact_ties_match_linear_scan(self, name):
@@ -154,21 +178,72 @@ class TestDetect:
                                _complex(values[:, None], mids).ravel(), [0j]])
         _assert_matches_linear_scan(shat, c)
 
-    @pytest.mark.parametrize("name", ["64qam"])
+    @pytest.mark.parametrize("name", SQUARE_IDS)
     def test_codes_equal_joint_search(self, name):
         # bit for bit, where rounding decides: at every float midpoint, also
         # those an ulp off the true one, and far out, where one axis's
-        # distance swamps the other's
+        # distance swamps the other's; as one array, which a NaN sends to
+        # the joint search, and sample by sample, most of which are sliced
         c = get_constellation(name)
         levels = np.unique(c.points.real)
         mids = (levels[:-1] + levels[1:]) / 2
         values = np.concatenate([levels, mids, np.nextafter(mids, np.inf),
                                  [1e10, -1e10, 1e150, np.inf, -np.inf, np.nan]])
         rng = np.random.default_rng(21)
-        shat = np.concatenate([_complex(values[:, None], values).ravel(),
-                               _complex(rng.standard_normal(2000),
-                                        rng.standard_normal(2000))])
-        assert np.array_equal(detect(shat, c), joint_search_detect(shat, c.points))
+        random = _complex(rng.standard_normal(2000), rng.standard_normal(2000))
+        shat = np.concatenate([_complex(values[:, None], values).ravel(), random])
+        expected = joint_search_detect(shat, c.points)
+        assert np.array_equal(detect(shat, c), expected)
+        assert np.array_equal(detect(random, c), expected[-random.size:])
+        assert [int(detect(z, c)) for z in shat] == expected.tolist()
+
+    @pytest.mark.parametrize("case", [
+        "clamped_beside_large", "far_component", "nonfinite", "negative_zero",
+        "empty", "scalar", "column_slice"])
+    @pytest.mark.parametrize("name", SQUARE_IDS)
+    def test_hard_inputs_equal_joint_search(self, name, case):
+        # inputs where a slice could go wrong; any warning is an error here
+        c = get_constellation(name)
+        levels = np.unique(c.points.real)
+        mids = (levels[:-1] + levels[1:]) / 2
+        on_threshold = np.concatenate([mids, np.nextafter(mids, np.inf),
+                                       np.nextafter(mids, -np.inf)])
+        rng = np.random.default_rng(22)
+        block = _complex(rng.standard_normal((16, 9)), rng.standard_normal((16, 9)))
+        if case == "clamped_beside_large":
+            # a pilot UE whose factor is clamped to 1e-9, beside one whose
+            # tiny pilot makes its factor large: sliced, as every component
+            # clears the guard; then with a UE nearer zero still, where the
+            # joint search's distances round to ties
+            away = np.copysign(1.0 + abs(block.real), block.real)
+            clamped = 1e-9 * _complex(away, -away[::-1])
+            sliced = np.concatenate([clamped, 30.0 + block])
+            assert np.array_equal(detect(sliced, c), joint_search_detect(sliced, c.points))
+            shat = np.concatenate([sliced, 1e-18 * block])
+        elif case == "far_component":
+            far = np.array([1e6, -1e6, 1e150, -1e150])
+            shat = np.concatenate([_complex(far[:, None], on_threshold).ravel(),
+                                   _complex(on_threshold[:, None], far).ravel()])
+        elif case == "nonfinite":
+            bad = np.array([np.nan, np.inf, -np.inf])
+            shat = np.concatenate([_complex(bad[:, None], block[0].real).ravel(),
+                                   _complex(block[0].imag[:, None], bad).ravel(),
+                                   block[1]])
+        elif case == "negative_zero":
+            values = np.concatenate([[-0.0, 0.0], levels, block[0].real])
+            shat = np.concatenate([_complex(-0.0, values), _complex(values, -0.0)])
+        elif case == "empty":
+            shat = block[:, :0]
+        elif case == "scalar":
+            shat = np.complex128(block[3, 4])
+        else:
+            shat = block[:, 4]
+            assert not shat.flags.c_contiguous
+        codes = detect(shat, c)
+        assert codes.shape == np.shape(shat)
+        assert np.array_equal(codes, joint_search_detect(shat, c.points))
+        for z in np.ravel(shat):
+            assert detect(z, c) == joint_search_detect(z, c.points)
 
     @pytest.mark.parametrize("name", SQUARE_IDS + ["8psk"])
     def test_far_outside_the_grid_matches_linear_scan(self, name):

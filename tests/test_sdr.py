@@ -71,7 +71,11 @@ class TestAssembleT:
          "row dimensions disagree"),
         (lambda p: solve_sdp(p, tol=math.inf), "tol must be finite and > 0"),
         (lambda p: solve_sdp(p, max_iters=100.0), "max_iters must be an integer"),
-    ], ids=["tol", "max_iters", "row_mismatch", "tol_inf", "max_iters_float"])
+        # U = 5 would price the power term for 5 UEs on a 2-UE channel
+        (lambda p: assemble_T(np.ones((4, 6)), np.ones(4), 5, 0.1, 1.0),
+         r"h_r has 4 rows, not 2U = 10"),
+    ], ids=["tol", "max_iters", "row_mismatch", "tol_inf", "max_iters_float",
+            "num_ues_mismatch"])
     def test_invalid_arguments_rejected(self, call, message):
         problem = assemble_T(np.ones((4, 4)), np.ones(4), 2, 0.1, 1.0)
         with pytest.raises(ValueError, match=message):
