@@ -10,7 +10,8 @@ Config file grammar: one ``key = value`` pair per line; blank lines and text
 after ``#`` are ignored. Keys are the long flag names with underscores
 (``bs_antennas``, ``ues``, ``slots``, ``snr_db``, ``constellation``,
 ``precoder``, ``estimator``, ``trials``, ``seed``, ``out``); an unknown key
-is an error. List values (``snr_db``, ``precoder``) are comma separated.
+is an error, and so is a key set twice. List values (``snr_db``,
+``precoder``) are comma separated.
 The solvers' budgets are fixed in the library and are not settings, and
 every point runs all its ``trials``, so they alone set its precision.
 
@@ -88,7 +89,7 @@ def parse_config_file(path, parser: argparse.ArgumentParser) -> dict:
     """
     types = {a.dest: a.type for a in parser._actions
              if a.dest not in ("help", "config")}
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +100,9 @@ def parse_config_file(path, parser: argparse.ArgumentParser) -> dict:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on "
+                             f"line {set_on[key]}")
         try:
             types[key](value)
         except argparse.ArgumentTypeError as err:
@@ -106,7 +110,7 @@ def parse_config_file(path, parser: argparse.ArgumentParser) -> dict:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key}: invalid "
                              f"{types[key].__name__} value: {value!r}") from None
-        values[key] = value
+        values[key], set_on[key] = value, lineno
     return values
 
 

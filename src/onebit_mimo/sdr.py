@@ -7,11 +7,14 @@ tr(T X) over PSD matrices whose first 2BK diagonal entries are tied
 together (all |b_i| share one magnitude) and whose last diagonal entry is
 pinned to 1. The SDP is solved by a self-contained ADMM that alternates a
 closed-form projection onto the affine constraint set with a projection
-onto the PSD cone and returns a :class:`~onebit_mimo.model.SolverResult`;
-a 1-bit frame is then extracted by rounding the leading eigenvector
-(:func:`~onebit_mimo.model.one_bit_quantize`). ADMM stops at residual
-``tol`` = 1e-6 or after ``max_iters`` = 5000 iterations, the defaults of
-:func:`solve_sdp`'s keyword arguments.
+onto the PSD cone and returns a :class:`~onebit_mimo.model.SolverResult`.
+The program sees only T's symmetric part, so :func:`solve_sdp` symmetrizes
+T once per call; every iterate then stays exactly symmetric, and
+:func:`project_psd`, which symmetrizes its result, is the one step that
+keeps it so. A 1-bit frame is then extracted by rounding the leading
+eigenvector (:func:`~onebit_mimo.model.one_bit_quantize`). ADMM stops at
+residual ``tol`` = 1e-6 or after ``max_iters`` = 5000 iterations, the
+defaults of :func:`solve_sdp`'s keyword arguments.
 
 :func:`sdr_precode` solves K independent single-slot SDPs, the evaluated
 configuration, and returns their rounded slots as one frame. The joint
@@ -94,21 +97,6 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _project_affine(m: np.ndarray, num_vec: int) -> np.ndarray:
-    """Euclidean projection onto {symmetric, tied leading diagonal, X_nn = 1}."""
-    sym = 0.5 * (m + m.T)
-    idx = np.arange(num_vec)
-    sym[idx, idx] = float(sym[idx, idx].mean())
-    sym[num_vec, num_vec] = 1.0
-    return sym
-
-
-def _constraint_violation(z: np.ndarray, num_vec: int) -> float:
-    diag = np.diagonal(z)[:num_vec]
-    spread = float(np.max(np.abs(diag - diag.mean())))
-    return max(spread, abs(float(z[num_vec, num_vec]) - 1.0))
-
-
 #: residual balancing stops after this many iterations; fixed-penalty ADMM is
 #: what carries the convergence guarantee, and unbounded per-iteration
 #: adaptation can lock the iterates into a limit cycle
@@ -119,13 +107,17 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6,
               max_iters: int = 5000) -> SolverResult:
     """ADMM over the affine constraint set and the PSD cone.
 
-    x-update: project (z - u - T/rho) onto the affine set (closed form:
-    average the tied diagonal, pin the corner); z-update: PSD projection of
-    (x + u); scaled dual update. Stops when max(primal, dual) residual and
-    the constraint violation of z drop below ``tol``. The penalty starts at
-    1 and is adapted by residual balancing (factor 2 when the residual
-    ratio exceeds 10) during the first ``RHO_ADAPT_BURN_IN`` iterations and
-    then frozen.
+    T is replaced by its symmetric part once per call, which leaves every T
+    that :func:`assemble_T` builds unchanged bit for bit. x-update: project
+    (z - u - T/rho) onto the affine set (closed form: average the tied
+    diagonal, pin the corner); z-update: PSD projection of (x + u); scaled
+    dual update. T, z and u are exactly symmetric, so every x is too, and
+    :func:`project_psd` keeps z so; no other step symmetrizes. Stops when
+    max(primal, dual) residual and the constraint violation of z drop below
+    ``tol``; the violation is checked only once both residuals are. The
+    penalty starts at 1 and is adapted by residual balancing (factor 2 when
+    the residual ratio exceeds 10) during the first ``RHO_ADAPT_BURN_IN``
+    iterations and then frozen.
     Returns z as ``x``, with ``converged=False`` if the budget runs out (z is
     PSD by construction either way), and the (iterations, 2) primal and dual
     residuals as ``history``.
@@ -133,19 +125,20 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6,
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     _check_count("max_iters", max_iters, 1)
-    t = problem.t
-    n = problem.dim
-    n_vec = n - 1
-    z = np.zeros((n, n))
+    t = 0.5 * (problem.t + problem.t.T)
+    n_vec = problem.dim - 1
+    tied = np.arange(n_vec)
+    z = np.zeros(t.shape)
     z[n_vec, n_vec] = 1.0
-    dual = np.zeros((n, n))
+    dual = np.zeros(t.shape)
     history = []
     rho = 1.0
     converged = False
-    iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        x = _project_affine(z - dual - t / rho, n_vec)
+        x = z - dual - t / rho
+        x[tied, tied] = float(x[tied, tied].mean())
+        x[n_vec, n_vec] = 1.0
         z_prev = z
         z = project_psd(x + dual)
         dual = dual + x - z
@@ -154,9 +147,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-6,
         dual_res = float(rho * np.linalg.norm(z - z_prev))
         history.append((primal, dual_res))
 
-        if max(primal, dual_res) < tol and _constraint_violation(z, n_vec) <= tol:
-            converged = True
-            break
+        if max(primal, dual_res) < tol:
+            diag = np.diagonal(z)[:n_vec]
+            if max(np.abs(diag - diag.mean()).max(), abs(z[n_vec, n_vec] - 1.0)) <= tol:
+                converged = True
+                break
 
         if iterations <= RHO_ADAPT_BURN_IN:
             if primal > 10.0 * dual_res:

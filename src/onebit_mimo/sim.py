@@ -140,7 +140,9 @@ class SweepConfig:
 
     Construction validates every setting (ids, counts, SNRs, output path),
     so a bad one or a repeated precoder or SNR point (equal in value or in
-    its CSV label) fails before any trial runs. Every point runs all
+    its CSV label) fails before any trial runs; so does a string for
+    ``snr_db`` or ``precoders``, which would otherwise be split into its
+    characters. An SNR of -0.0 is stored as 0.0. Every point runs all
     ``trials`` for every precoder. Like :class:`TrialConfig`, it holds no
     solver setting.
     """
@@ -157,19 +159,24 @@ class SweepConfig:
     out: str | Path | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        # tuple() of a string would walk its characters
+        if strings := [f for f in ("snr_db", "precoders") if isinstance(getattr(self, f), str)]:
+            raise ValueError(f"{strings[0]} must be a sequence, not a string")
+        snr_db = tuple(float(v) for v in self.snr_db)
         object.__setattr__(self, "precoders", tuple(self.precoders))
-        if not self.snr_db:
+        if not snr_db:
             raise ValueError("snr_db list must be nonempty")
         if not self.precoders:
             raise ValueError("precoder list must be nonempty")
         if repeated := [p for p in self.precoders if self.precoders.count(p) > 1]:
             raise ValueError(f"precoder {repeated[0]!r} is listed more than once")
-        for i, a in enumerate(self.snr_db):
+        for i, a in enumerate(snr_db):
             # the CSV labels a point {:g}, so equal labels make rows ambiguous
-            if clash := [b for b in self.snr_db[:i] if b == a or f"{b:g}" == f"{a:g}"]:
+            if clash := [b for b in snr_db[:i] if b == a or f"{b:g}" == f"{a:g}"]:
                 raise ValueError(f"snr_db lists one point twice: {clash[0]!r} and "
                                  f"{a!r} (CSV labels {clash[0]:g}, {a:g})")
+        # -0.0 + 0.0 is 0.0, so -0 dB and 0 dB share the CSV label 0
+        object.__setattr__(self, "snr_db", tuple(v + 0.0 for v in snr_db))
         _check_count("trials", self.trials, 1)
         _check_count("seed", self.seed, 0)
         if self.out is not None and Path(self.out).is_dir():

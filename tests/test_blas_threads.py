@@ -7,9 +7,10 @@ it runs with. A BLAS upgrade whose kernels split work by thread count
 would change the digests and fail here.
 
 A third child forces OpenBLAS's generic kernel (``OPENBLAS_CORETYPE=Prescott``)
-and runs acceptance criterion C1 and the three CSV pins, without pytest to
-keep it short. C1 compares objectives exactly, so it fails if equal frames
-of different memory layout price differently under that kernel.
+and runs acceptance criterion C1, the three CSV pins and the quick
+fingerprint's pinned portable digest, without pytest to keep it short. C1
+compares objectives exactly, so it fails if equal frames of different
+memory layout price differently under that kernel.
 """
 
 import json
@@ -74,11 +75,13 @@ warnings.simplefilter("error")
 sys.path.insert(0, sys.argv[1])
 import test_acceptance
 import test_csv_pin
+import test_fingerprint
 
 test_acceptance.test_c1_oracle_optimality(test_acceptance.small_instances.__wrapped__())
 test_csv_pin.test_sweep_csv_matches_pinned_text()
 test_csv_pin.test_paper_size_linear_sweep_matches_pinned_text()
 test_csv_pin.test_paper_size_squid_sweep_matches_pinned_text()
+test_fingerprint.test_quick_cases_match_pinned_digest()
 json.dump("passed", sys.stdout)
 """
 

@@ -45,6 +45,14 @@ class TestConfigFile:
             with pytest.raises(ValueError, match="unknown key"):
                 parse_config_file(cfg, build_parser())
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        # the later line would otherwise silently win
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("trials = 4\n# more trials\n\ntrials = 9\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:4: key 'trials' "
+                                             r"already set on line 1"):
+            parse_config_file(cfg, build_parser())
+
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bs_antennas 8\n")
@@ -135,6 +143,17 @@ class TestMain:
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"output path '{value}' names a directory" in captured.err
 
+    def test_config_key_set_twice_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 1\nues = 2\nseed = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "s.cfg:3: key 'seed' already set on line 1" in captured.err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_interrupt_exits_130_keeping_finished_points(self, tmp_path, capsys,
                                                           monkeypatch):
         # two precoders, so a point is two rows of the CSV
@@ -221,9 +240,13 @@ class TestMain:
     def test_invalid_setting_exits_2_before_any_trial(self, tmp_path, capsys,
                                                       file_text, argv, message):
         cfg, out = tmp_path / "s.cfg", tmp_path / "never.csv"
-        # a later line overrides an earlier one
-        cfg.write_text("bs_antennas = 4\nues = 2\nslots = 2\nsnr_db = 0\n"
-                       "precoder = zfq\ntrials = 1\n" + file_text)
+        # a key may be set only once, so the line under test replaces the
+        # base line of its key with a comment, keeping itself on line 7
+        key = file_text.partition("=")[0].strip()
+        base = ["bs_antennas = 4", "ues = 2", "slots = 2", "snr_db = 0",
+                "precoder = zfq", "trials = 1"]
+        cfg.write_text("".join(f"# {line}\n" if line.startswith(f"{key} =") else f"{line}\n"
+                               for line in base) + file_text)
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "--out", str(out)] + argv)
         assert exc.value.code == 2

@@ -64,6 +64,20 @@ class TestAssembleT:
         prob = assemble_T(hbar, rng.standard_normal(4), 2, 0.1, 1.0)
         assert np.array_equal(prob.t, prob.t.T)
 
+    @pytest.mark.parametrize("size", [(128, 16, 1), (16, 4, 4)], ids=["slot", "frame"])
+    def test_drawn_problem_is_exactly_symmetric(self, size):
+        # solve_sdp's symmetrization is then a no-op on every T built here;
+        # the slot is the paper point's (2U,) column, the frame a (2U, K) one
+        num_bs_antennas, num_ues, num_slots = size
+        cfg = SystemConfig.from_snr_db(*size, snr_db=8.0)
+        h = gen_rayleigh_channel(num_ues, num_bs_antennas, seed=5)
+        frame = SymbolFrame.random(get_constellation("16qam"), num_ues, num_slots, seed=6)
+        s_r = stack_real(frame.s)
+        prob = assemble_T(real_embed(h), s_r[:, 0] if num_slots == 1 else s_r,
+                          num_ues, cfg.noise_var, cfg.transmit_power)
+        assert prob.dim == 2 * num_bs_antennas * num_slots + 1
+        assert np.array_equal(prob.t, prob.t.T)
+
     @pytest.mark.parametrize("call, message", [
         (lambda p: solve_sdp(p, tol=0.0), "tol must be finite and > 0"),
         (lambda p: solve_sdp(p, max_iters=0), "max_iters must be >= 1"),
@@ -116,6 +130,33 @@ class TestSolveSdp:
         assert sol.x[0, 0] == pytest.approx(0.0, abs=1e-6)
         assert sol.x[1, 1] == pytest.approx(0.0, abs=1e-6)
         assert sol.x[2, 2] == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def _joint_problem():
+        cfg = SystemConfig(3, 2, 2, noise_var=0.25)
+        h = gen_rayleigh_channel(2, 3, seed=46)
+        frame = SymbolFrame.random(get_constellation("16qam"), 2, 2, seed=47)
+        return _lifted_problem(frame.s, h, cfg)
+
+    @pytest.mark.parametrize("max_iters", [7, 5000], ids=["budget", "converged"])
+    def test_iterate_is_exactly_symmetric(self, max_iters):
+        sol = solve_sdp(self._joint_problem(), max_iters=max_iters)
+        assert sol.converged is (max_iters == 5000)
+        assert np.array_equal(sol.x, sol.x.T)
+
+    @pytest.mark.parametrize("max_iters", [7, 5000], ids=["budget", "converged"])
+    def test_only_the_symmetric_part_counts(self, max_iters):
+        # the upper triangle carries both halves of every off-diagonal pair,
+        # so the symmetric part is T itself, exactly
+        sym = self._joint_problem()
+        upper = SdpProblem(t=np.triu(sym.t) + np.triu(sym.t, 1))
+        assert np.array_equal(0.5 * (upper.t + upper.t.T), sym.t)
+        want, got = (solve_sdp(p, max_iters=max_iters) for p in (sym, upper))
+        assert np.array_equal(got.x, want.x)
+        assert got.objective.hex() == want.objective.hex()
+        assert got.iterations == want.iterations
+        assert got.converged is want.converged
+        assert np.array_equal(got.history, want.history)
 
     def test_matches_parameterized_search_oracle(self):
         cfg = SystemConfig(1, 1, 1, noise_var=0.2)

@@ -577,6 +577,20 @@ class TestSweep:
             with pytest.raises(ValueError, match=f"snr_db lists one point twice: {named}"):
                 self._cfg(snr_db=snr_db)
 
+    @pytest.mark.parametrize("field, value", [("snr_db", "10"), ("precoders", "squid")])
+    def test_string_for_a_list_rejected(self, field, value):
+        # tuple() of a string walks its characters: "10" would sweep 1 dB and 0 dB
+        with pytest.raises(ValueError, match=f"{field} must be a sequence, not a string"):
+            self._cfg(**{field: value})
+
+    def test_negative_zero_snr_stored_as_zero(self, tmp_path):
+        # -0 dB draws the trials of 0 dB, so its rows carry the same label
+        negative = self._cfg(snr_db=(-0.0, 6.0), out=tmp_path / "negative.csv")
+        assert math.copysign(1.0, negative.snr_db[0]) == 1.0
+        sweep(negative)
+        sweep(self._cfg(snr_db=(0.0, 6.0), out=tmp_path / "zero.csv"))
+        assert (tmp_path / "negative.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
     def test_numpy_integer_counts_accepted(self):
         counts = dict(num_bs_antennas=np.int64(4), num_ues=np.int64(2),
                       num_slots=np.int64(2), trials=np.int64(3), seed=np.int64(9))
